@@ -7,9 +7,7 @@ independently.  Generators, an exhaustive small-instance oracle, and a
 CLI round out the package.
 """
 from .digraph import (
-    DegreeProfile,
     Digraph,
-    degree_profile,
     extract_exact_outdegree_subgraph,
     gen_complete_digraph,
     gen_random_out_regular,
@@ -27,8 +25,6 @@ from .edge_coloring import (
     vizing_color,
 )
 from .errors import (
-    AveragingBoundViolated,
-    DegreeBoundViolated,
     EdgeListError,
     EmptyA,
     ExtensionExhausted,
@@ -36,15 +32,11 @@ from .errors import (
     InsufficientOutDegree,
     InternalInvariantError,
     PreconditionOutDegree,
-    QBoundViolated,
     SpiderFormatError,
 )
 from .extenders import (
     ExtenderPool,
-    ExtensionSet,
-    extension_set,
     greedy_extend,
-    is_i_extender,
     strong_extender_pool,
 )
 from .oracle import (
@@ -57,7 +49,6 @@ from .oracle import (
 )
 from .root_selection import (
     ABPartition,
-    QPath,
     QPaths,
     RootScore,
     RootScores,

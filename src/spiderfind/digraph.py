@@ -8,7 +8,6 @@ cached, so algorithms that never need them do not pay for them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -17,8 +16,6 @@ from .errors import EdgeListError, InsufficientOutDegree
 
 __all__ = [
     "Digraph",
-    "DegreeProfile",
-    "degree_profile",
     "parse_edge_list",
     "write_edge_list",
     "gen_complete_digraph",
@@ -27,6 +24,9 @@ __all__ = [
     "extract_exact_outdegree_subgraph",
     "min_out_degree",
 ]
+
+# Vertex ids are stored as int32.
+_MAX_VERTICES = 2**31
 
 # Rejection sampling is used while the expected per-row collision count stays
 # small; denser rows switch to a blocked Fisher-Yates shuffle.
@@ -179,25 +179,6 @@ class Digraph:
         row = self._indices[self._indptr[u] : self._indptr[u + 1]]
         return v in row.tolist()
 
-    @property
-    def out_adj(self) -> tuple[tuple[int, ...], ...]:
-        """Ordered out-adjacency as nested tuples (small-graph convenience)."""
-        ptr = self._indptr
-        idx = self._indices.tolist()
-        return tuple(
-            tuple(idx[ptr[v] : ptr[v + 1]]) for v in range(self.n)
-        )
-
-    @property
-    def in_adj(self) -> tuple[tuple[int, ...], ...]:
-        """Ordered in-adjacency (mirror of edge order), as nested tuples."""
-        self._build_in_csr()
-        ptr = self._in_indptr
-        idx = self._in_indices.tolist()
-        return tuple(
-            tuple(idx[ptr[v] : ptr[v + 1]]) for v in range(self.n)
-        )
-
     def edges(self) -> Iterator[tuple[int, int]]:
         src = self.edge_src.tolist()
         dst = self._indices.tolist()
@@ -235,26 +216,17 @@ class Digraph:
         return f"Digraph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    out_deg: tuple[int, ...]
-    in_deg: tuple[int, ...]
-    min_out: int
-    max_in: int
-
-
-def degree_profile(g: Digraph) -> DegreeProfile:
-    out_deg = g.out_degrees
-    in_deg = g.in_degrees
-    return DegreeProfile(
-        out_deg=tuple(out_deg.tolist()),
-        in_deg=tuple(in_deg.tolist()),
-        min_out=int(out_deg.min()) if g.n else 0,
-        max_in=int(in_deg.max()) if g.n else 0,
-    )
-
-
 # ---- text I/O ---------------------------------------------------------------
+
+
+def _int_token(tok: str) -> int:
+    """Value of an ASCII `-?[0-9]+` token; ValueError for anything else."""
+    # On a whitespace-free token, int() goes beyond -?[0-9]+ only by
+    # accepting '+', '_' digit separators and non-ASCII digits.  Ruling
+    # those out is much cheaper than a regex match per token.
+    if not tok.isascii() or "_" in tok or "+" in tok:
+        raise ValueError(f"not an integer token: {tok!r}")
+    return int(tok)
 
 
 def parse_edge_list(text) -> Digraph:
@@ -282,18 +254,22 @@ def parse_edge_list(text) -> Digraph:
             if len(parts) != 2:
                 raise EdgeListError(lineno, "header must be 'n m'")
             try:
-                n, m = int(parts[0]), int(parts[1])
+                n, m = _int_token(parts[0]), _int_token(parts[1])
             except ValueError:
                 raise EdgeListError(lineno, "header must be two integers") from None
             if n < 0 or m < 0:
                 raise EdgeListError(lineno, "header values must be non-negative")
+            if n > _MAX_VERTICES:
+                raise EdgeListError(
+                    lineno, f"vertex count {n} exceeds the int32 id range"
+                )
             header = (n, m)
             header_line = lineno
             continue
         if len(parts) != 2:
             raise EdgeListError(lineno, "edge line must be 'u v'")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _int_token(parts[0]), _int_token(parts[1])
         except ValueError:
             raise EdgeListError(lineno, "edge line must be two integers") from None
         if len(src) >= m:

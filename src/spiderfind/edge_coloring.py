@@ -10,7 +10,8 @@ The coloring itself follows the classical constructive proof of Vizing's
 theorem: insert edges one at a time; when no color is free at both
 endpoints, build a fan at one endpoint, fold it, and when folding is blocked
 flip a two-color alternating path first.  A largest color class of size s
-always covers at least |E(H)| / (Delta+1) edges by pigeonhole.
+always covers at least |E(H)| / (Delta+1) edges by pigeonhole.  The stages
+here only compute; the solver records and enforces those bounds.
 
 Every nondeterministic choice in the textbook proof (which free color, which
 fan vertex, which chain) is pinned to the lowest index, so colorings are
@@ -19,12 +20,11 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DegreeBoundViolated, InternalInvariantError
-from .root_selection import QPath, QPaths
+from .errors import InternalInvariantError
+from .root_selection import QPaths
 
 __all__ = [
     "ExtensionGraph",
@@ -38,13 +38,15 @@ __all__ = [
 
 
 class ExtensionGraph:
-    """Undirected graph whose edges are realizable spider legs at root r."""
+    """Undirected graph whose edges are realizable spider legs at root r.
+
+    Edge i joins edge_u[i] < edge_v[i] and is realized by the directed path
+    leaf[i] -> mid[i] -> r.
+    """
 
     __slots__ = (
         "n",
         "r",
-        "ell",
-        "excluded",
         "edge_u",
         "edge_v",
         "leaf",
@@ -57,22 +59,18 @@ class ExtensionGraph:
         self,
         n: int,
         r: int,
-        excluded: frozenset[int],
         edge_u: np.ndarray,
         edge_v: np.ndarray,
         leaf: np.ndarray,
         mid: np.ndarray,
-        ell: Optional[int] = None,
         truncated: bool = False,
     ):
         self.n = int(n)
         self.r = int(r)
-        self.excluded = excluded
         self.edge_u = edge_u
         self.edge_v = edge_v
         self.leaf = leaf
         self.mid = mid
-        self.ell = ell
         self.truncated = truncated
         if edge_u.size:
             deg = np.bincount(
@@ -85,17 +83,6 @@ class ExtensionGraph:
     @property
     def num_edges(self) -> int:
         return int(self.edge_u.shape[0])
-
-    @property
-    def vertices(self) -> frozenset[int]:
-        return frozenset(range(self.n)) - self.excluded - {self.r}
-
-    def edge(self, i: int) -> tuple[int, int]:
-        return (int(self.edge_u[i]), int(self.edge_v[i]))
-
-    def payload(self, i: int) -> tuple[int, int]:
-        """Directed realization (leaf, middle): leaf -> middle -> r."""
-        return (int(self.leaf[i]), int(self.mid[i]))
 
     def __repr__(self) -> str:
         return (
@@ -111,64 +98,23 @@ class EdgeColoring:
     color_of: np.ndarray
     palette: int
 
-    def colors_used(self) -> int:
-        return int(np.unique(self.color_of).shape[0]) if self.color_of.size else 0
 
-
-def build_extension_graph(
-    q: Union[QPaths, Sequence[QPath]],
-    r: int,
-    excluded: Iterable[int],
-    ell: Optional[int] = None,
-    checked: bool = True,
-) -> ExtensionGraph:
-    """One undirected edge per realized pair, first payload wins.
-
-    When ell is given, enforces the degree bound max_degree <= 2l-2; a
-    violation means a strong extender leaked past the exclusion set.
-    """
-    r = int(r)
-    excluded = frozenset(int(v) for v in excluded)
-    if isinstance(q, QPaths):
-        first = q.first.astype(np.int64)
-        middle = q.middle.astype(np.int64)
-        n = q.n
-    else:
-        first = np.asarray([p.first for p in q], dtype=np.int64)
-        middle = np.asarray([p.middle for p in q], dtype=np.int64)
-        top = int(max([r, *first.tolist(), *middle.tolist()])) if len(q) else r
-        n = top + 1
-    if checked and first.size:
-        for arr in (first, middle):
-            if bool(np.any(arr == r)):
-                raise ValueError("a path touches the root off-root")
-            if excluded and bool(np.any(np.isin(arr, list(excluded)))):
-                raise ValueError("a path touches an excluded vertex")
-
-    if first.size:
-        u = np.minimum(first, middle)
-        v = np.maximum(first, middle)
-        key = u * n + v
-        _, first_idx = np.unique(key, return_index=True)
-        keep = np.sort(first_idx)
-        edge_u = u[keep].astype(np.int32)
-        edge_v = v[keep].astype(np.int32)
-        leaf = first[keep].astype(np.int32)
-        mid = middle[keep].astype(np.int32)
-    else:
-        edge_u = edge_v = leaf = mid = np.empty(0, dtype=np.int32)
-
-    h = ExtensionGraph(
-        n=n, r=r, excluded=excluded, edge_u=edge_u, edge_v=edge_v,
-        leaf=leaf, mid=mid, ell=ell,
+def build_extension_graph(q: QPaths) -> ExtensionGraph:
+    """One undirected edge per realized pair, first payload wins."""
+    first = q.first.astype(np.int64)
+    middle = q.middle.astype(np.int64)
+    u = np.minimum(first, middle)
+    v = np.maximum(first, middle)
+    _, first_idx = np.unique(u * q.n + v, return_index=True)
+    keep = np.sort(first_idx)
+    return ExtensionGraph(
+        n=q.n,
+        r=q.r,
+        edge_u=u[keep].astype(np.int32),
+        edge_v=v[keep].astype(np.int32),
+        leaf=first[keep].astype(np.int32),
+        mid=middle[keep].astype(np.int32),
     )
-    if ell is not None and h.max_degree > 2 * ell - 2:
-        deg = np.bincount(
-            np.concatenate([edge_u, edge_v]).astype(np.int64), minlength=n
-        )
-        vtx = int(np.argmax(deg))
-        raise DegreeBoundViolated(vtx, int(deg[vtx]), 2 * ell - 2)
-    return h
 
 
 def truncation_threshold(ell: int) -> int:
@@ -188,12 +134,10 @@ def truncate_for_coloring(h: ExtensionGraph, ell: int) -> ExtensionGraph:
     return ExtensionGraph(
         n=h.n,
         r=h.r,
-        excluded=h.excluded,
         edge_u=h.edge_u[:cap],
         edge_v=h.edge_v[:cap],
         leaf=h.leaf[:cap],
         mid=h.mid[:cap],
-        ell=ell,
         truncated=True,
     )
 
@@ -379,32 +323,16 @@ def _check_proper(eu, ev, col, palette):
         raise InternalInvariantError("incident edges share a color")
 
 
-def largest_color_class(
-    h: ExtensionGraph, col: EdgeColoring, checked: bool = True
-) -> np.ndarray:
+def largest_color_class(h: ExtensionGraph, col: EdgeColoring) -> np.ndarray:
     """Edge indices of a maximum color class, smallest color index on ties.
 
-    The result is a matching.  On an untruncated extension graph the class
-    size s satisfies s * (2l-1) >= |E(h)| by pigeonhole, and that is
-    asserted here.
+    On a proper coloring the result is a matching.
     """
-    m = h.num_edges
-    if m == 0:
+    if h.num_edges == 0:
         return np.empty(0, dtype=np.int64)
     counts = np.bincount(col.color_of, minlength=max(col.palette, 1))
     c = int(np.argmax(counts))
-    s = int(counts[c])
-    idx = np.flatnonzero(col.color_of == c).astype(np.int64)
-    if checked:
-        ends = np.concatenate([h.edge_u[idx], h.edge_v[idx]])
-        if np.unique(ends).shape[0] != ends.shape[0]:
-            raise InternalInvariantError("largest color class is not a matching")
-    if h.ell is not None and not h.truncated:
-        if s * (2 * h.ell - 1) < m:
-            raise InternalInvariantError(
-                f"largest class {s} cannot cover {m} edges with {2 * h.ell - 1} classes"
-            )
-    return idx
+    return np.flatnonzero(col.color_of == c).astype(np.int64)
 
 
 def format_coloring_dump(h: ExtensionGraph, col: EdgeColoring) -> str:

@@ -69,36 +69,6 @@ class EmptyA(InternalInvariantError):
     """No vertex reached the in-degree threshold, impossible for out-regular input."""
 
 
-class AveragingBoundViolated(InternalInvariantError):
-    """Selected root's score fell below the averaging guarantee d^2 - d."""
-
-    def __init__(self, score: int, bound: int):
-        self.score = score
-        self.bound = bound
-        super().__init__(f"root score {score} < averaging bound {bound}")
-
-
-class QBoundViolated(InternalInvariantError):
-    """Q-path count fell below its guaranteed lower bound."""
-
-    def __init__(self, size: int, bound: int):
-        self.size = size
-        self.bound = bound
-        super().__init__(f"|Q| = {size} < guaranteed bound {bound}")
-
-
-class DegreeBoundViolated(InternalInvariantError):
-    """Extension graph degree exceeded 2l-2: a strong extender leaked in."""
-
-    def __init__(self, vertex: int, degree: int, bound: int):
-        self.vertex = vertex
-        self.degree = degree
-        self.bound = bound
-        super().__init__(
-            f"extension-graph degree {degree} at vertex {vertex} exceeds {bound}"
-        )
-
-
 class ExtensionExhausted(InternalInvariantError):
     """Greedy extension found no attachment vertex: a precondition was violated."""
 

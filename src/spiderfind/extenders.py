@@ -19,20 +19,10 @@ from .errors import ExtensionExhausted
 from .spider import Spider
 
 __all__ = [
-    "ExtensionSet",
     "ExtenderPool",
-    "extension_set",
-    "is_i_extender",
     "strong_extender_pool",
     "greedy_extend",
 ]
-
-
-@dataclass(frozen=True)
-class ExtensionSet:
-    x: int
-    r: int
-    members: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -45,47 +35,21 @@ class ExtenderPool:
     ell: int
 
 
-def extension_set(g: Digraph, x: int, r: int) -> ExtensionSet:
-    """O(x, r): vertices forming a simple 2-path with x that ends at r."""
-    if x == r:
-        raise ValueError("extension set requires x != r")
-    in_map = g.in_neighbor_map([x, r])
-    in_r = set(in_map[r].tolist())
-    out_x = g.out_neighbors(x).tolist()
-    members = {y for y in out_x if y in in_r}
-    if r in out_x:
-        members.update(y for y in in_map[x].tolist() if y != r)
-    return ExtensionSet(x=int(x), r=int(r), members=frozenset(members))
-
-
-def is_i_extender(g: Digraph, x: int, r: int, i: int) -> bool:
-    return len(extension_set(g, x, r).members) >= i
-
-
-def _as_mask(vertices, n: int) -> np.ndarray:
-    if isinstance(vertices, np.ndarray) and vertices.dtype == bool:
-        return vertices
-    mask = np.zeros(n, dtype=bool)
-    idx = list(vertices)
-    if idx:
-        mask[idx] = True
-    return mask
-
-
-def strong_extender_pool(g: Digraph, r: int, ell: int, a_set) -> ExtenderPool:
+def strong_extender_pool(
+    g: Digraph, r: int, ell: int, a_mask: np.ndarray
+) -> ExtenderPool:
     """Classify every (2l-1)-extender for r.
 
     a_r is N^-(r) intersected with the given high-in-degree class; each of
     its members is automatically strong (it points at r and has at least
     2l-1 in-neighbors besides r).  c_r holds every other strong extender.
-    `a_set` may be a vertex set or a boolean mask over [0, n).
+    `a_mask` is the class as a boolean mask over [0, n).
     """
     n = g.n
     thr = 2 * ell - 1
     r = int(r)
     src = g.edge_src
     dst = g.edge_dst
-    a_mask = _as_mask(a_set, n)
 
     in_r_vertices = src[dst == r]
     in_r_mask = np.zeros(n, dtype=bool)

@@ -118,6 +118,8 @@ def has_spider_bruteforce(
     g: Digraph, ell: int, cap: int = DEFAULT_EXHAUSTIVE_CAP
 ) -> OracleResult:
     """Try every root exhaustively; witness comes from the first root that works."""
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
     if g.n > cap:
         raise InstanceTooLarge(g.n, cap)
     adj = _adjacency_sets(g)
@@ -148,6 +150,10 @@ def search_spider_free(
     mathematical claim is made.  Samples above the exhaustive cap are
     skipped and counted.
     """
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     kept: list[tuple[Digraph, OracleResult]] = []
     skipped = 0
     for t in range(trials):

@@ -4,25 +4,23 @@ All functions here operate on the regularized working subgraph in which
 every out-degree equals d = 2l.  The root score d*|A_r| + |VB_r| is computed
 exactly for every candidate in a handful of vectorized passes; averaging
 over the high-in-degree class guarantees the selected root scores at least
-d^2 - d, and that guarantee is asserted at runtime.
+d^2 - d.  These are pure computations: the solver records and enforces the
+bounds they are guaranteed to meet.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .digraph import Digraph
-from .errors import AveragingBoundViolated, EmptyA, QBoundViolated
 from .extenders import ExtenderPool
 
 __all__ = [
     "ABPartition",
     "RootScore",
     "RootScores",
-    "QPath",
     "QPaths",
     "partition_by_in_degree",
     "score_roots",
@@ -42,14 +40,6 @@ class ABPartition:
     ell: int
     a_mask: np.ndarray
 
-    @cached_property
-    def a_set(self) -> frozenset[int]:
-        return frozenset(int(v) for v in np.flatnonzero(self.a_mask))
-
-    @cached_property
-    def b_set(self) -> frozenset[int]:
-        return frozenset(int(v) for v in np.flatnonzero(~self.a_mask))
-
 
 @dataclass(frozen=True)
 class RootScore:
@@ -60,7 +50,10 @@ class RootScore:
 
 
 class RootScores(Sequence[RootScore]):
-    """Per-candidate scores for every member of the A class, array-backed."""
+    """Per-candidate scores for every member of the A class, array-backed.
+
+    `xs` lists the candidates in ascending vertex order.
+    """
 
     def __init__(self, xs: np.ndarray, a: np.ndarray, vb: np.ndarray, ell: int):
         self.xs = xs
@@ -81,14 +74,7 @@ class RootScores(Sequence[RootScore]):
         )
 
 
-@dataclass(frozen=True)
-class QPath:
-    first: int
-    middle: int
-    last: int
-
-
-class QPaths(Sequence[QPath]):
+class QPaths:
     """The 2-paths first -> middle -> r surviving the strong-extender exclusion."""
 
     def __init__(self, first: np.ndarray, middle: np.ndarray, r: int, n: int):
@@ -99,9 +85,6 @@ class QPaths(Sequence[QPath]):
 
     def __len__(self) -> int:
         return int(self.first.shape[0])
-
-    def __getitem__(self, i) -> QPath:
-        return QPath(int(self.first[i]), int(self.middle[i]), self.r)
 
 
 def partition_by_in_degree(g: Digraph, ell: int) -> ABPartition:
@@ -149,8 +132,6 @@ def score_roots(g: Digraph, part: ABPartition, ell: int) -> RootScores:
     |N^-(b) \\ {x}|, for every x in the A class."""
     n = g.n
     a_mask = part.a_mask
-    if not a_mask.any():
-        raise EmptyA("no vertex reaches the in-degree threshold")
     src = g.edge_src
     dst = g.edge_dst
     in_deg = g.in_degrees
@@ -177,35 +158,10 @@ def score_roots(g: Digraph, part: ABPartition, ell: int) -> RootScores:
     return RootScores(xs=xs, a=a_vec[xs].astype(np.int64), vb=vb[xs], ell=ell)
 
 
-def select_root(
-    scores: Union[RootScores, Sequence[RootScore]], ell: int, checked: bool = True
-) -> RootScore:
-    """Maximal-score entry, smallest vertex id on ties.
-
-    The averaging argument guarantees the winner scores at least d^2 - d on
-    2l-out-regular input; in checked mode a shortfall raises, because it can
-    only mean an upstream bug.
-    """
-    if len(scores) == 0:
-        raise EmptyA("cannot select a root from empty scores")
-    if isinstance(scores, RootScores):
-        best = int(scores.score.max())
-        tied = scores.xs[scores.score == best]
-        winner_x = int(tied.min())
-        idx = int(np.flatnonzero(scores.xs == winner_x)[0])
-        winner = scores[idx]
-    else:
-        winner = scores[0]
-        for entry in scores[1:]:
-            if entry.score > winner.score or (
-                entry.score == winner.score and entry.x < winner.x
-            ):
-                winner = entry
-    d = 2 * ell
-    bound = d * d - d
-    if checked and winner.score < bound:
-        raise AveragingBoundViolated(winner.score, bound)
-    return winner
+def select_root(scores: RootScores) -> RootScore:
+    """Maximal-score entry, smallest vertex id on ties."""
+    # argmax takes the first maximum, and xs is ascending.
+    return scores[int(np.argmax(scores.score))]
 
 
 def compute_q_paths(
@@ -213,16 +169,14 @@ def compute_q_paths(
     r: int,
     part: ABPartition,
     pool: ExtenderPool,
-    checked: bool = True,
 ) -> QPaths:
     """All v -> b -> r with b in B, avoiding r and every strong extender.
 
-    The count is guaranteed to be at least d^2 - d - (a+c)(4l-1); in checked
-    mode a shortfall raises (the bound may be vacuously negative).
+    The count is guaranteed to be at least d^2 - d - (a+c)(4l-1), a bound
+    that may be vacuously negative.
     """
     n = g.n
     r = int(r)
-    ell = part.ell
     src = g.edge_src
     dst = g.edge_dst
 
@@ -237,12 +191,4 @@ def compute_q_paths(
     mid_ok = in_r_mask & ~part.a_mask & ~excluded
     sel = mid_ok[dst] & (src != r) & ~excluded[src]
 
-    first = src[sel]
-    middle = dst[sel]
-    d = 2 * ell
-    a = len(pool.a_r)
-    c = len(pool.c_r)
-    bound = d * d - d - (a + c) * (4 * ell - 1)
-    if checked and first.shape[0] < bound:
-        raise QBoundViolated(int(first.shape[0]), bound)
-    return QPaths(first=first, middle=middle, r=r, n=n)
+    return QPaths(first=src[sel], middle=dst[sel], r=r, n=n)

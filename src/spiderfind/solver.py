@@ -4,10 +4,11 @@ Pipeline: regularize to exact out-degree d = 2l, partition by in-degree,
 pick the root maximizing d*|A_r| + |VB_r|, classify strong extenders,
 enumerate surviving 2-paths, edge-color the extension graph and lift the
 largest color class to a base spider, then greedily extend with strong
-extenders until l legs.  Every inequality the construction relies on is
-recorded in the trace; in "checked" mode a violated inequality raises (it
-can only mean a bug, never bad input), in "fast" mode checks are recorded
-but nothing is enforced beyond what is needed to produce output.
+extenders until l legs.  The stages only compute; every inequality the
+construction relies on is recorded in the trace here, and only here.  In
+"checked" mode a violated inequality raises (it can only mean a bug, never
+bad input); in "fast" mode checks are recorded but nothing is enforced
+beyond what is needed to produce output.
 """
 from __future__ import annotations
 
@@ -104,22 +105,20 @@ def find_spider(
         raise EmptyA("2l-out-regular graph must contain a high-in-degree vertex")
 
     scores = score_roots(work, part, ell)
-    root_score = select_root(scores, ell, checked=checked)
+    root_score = select_root(scores)
     r = root_score.x
 
     pool = strong_extender_pool(work, r, ell, part.a_mask)
     a = len(pool.a_r)
     c = len(pool.c_r)
 
-    q = compute_q_paths(work, r, part, pool, checked=checked)
+    q = compute_q_paths(work, r, part, pool)
     q_size = len(q)
 
-    h = build_extension_graph(
-        q, r, pool.a_r | pool.c_r, ell=ell, checked=checked
-    )
+    h = build_extension_graph(q)
     ht = truncate_for_coloring(h, ell)
     coloring = vizing_color(ht, checked=checked)
-    cls = largest_color_class(ht, coloring, checked=checked)
+    cls = largest_color_class(ht, coloring)
     s = int(cls.shape[0])
     base_legs = tuple(
         (int(ht.leaf[i]), int(ht.mid[i])) for i in cls.tolist()

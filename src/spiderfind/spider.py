@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .digraph import Digraph
+from .digraph import Digraph, _int_token
 from .errors import SpiderFormatError
 
 __all__ = [
@@ -126,14 +126,14 @@ def parse_spider(text: str) -> Spider:
             if len(parts) != 2 or parts[0] != "root":
                 raise SpiderFormatError(lineno, "expected 'root <id>'")
             try:
-                root = int(parts[1])
+                root = _int_token(parts[1])
             except ValueError:
                 raise SpiderFormatError(lineno, "root id must be an integer") from None
             continue
         if len(parts) != 2:
             raise SpiderFormatError(lineno, "leg line must be 'leaf middle'")
         try:
-            legs.append((int(parts[0]), int(parts[1])))
+            legs.append((_int_token(parts[0]), _int_token(parts[1])))
         except ValueError:
             raise SpiderFormatError(lineno, "leg line must be two integers") from None
     if root is None:

@@ -158,8 +158,7 @@ def _make_h(edges) -> ExtensionGraph:
     eu = np.asarray([u for u, _ in edges], dtype=np.int32)
     ev = np.asarray([v for _, v in edges], dtype=np.int32)
     return ExtensionGraph(
-        n=n, r=n - 1, excluded=frozenset(),
-        edge_u=eu, edge_v=ev, leaf=eu.copy(), mid=ev.copy(),
+        n=n, r=n - 1, edge_u=eu, edge_v=ev, leaf=eu.copy(), mid=ev.copy()
     )
 
 

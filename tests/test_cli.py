@@ -1,7 +1,16 @@
 import io
 
-from spiderfind import gen_complete_digraph, parse_edge_list, write_edge_list
+import pytest
+
+from spiderfind import (
+    gen_complete_digraph,
+    parse_edge_list,
+    parse_spider,
+    verify_spider,
+    write_edge_list,
+)
 from spiderfind.cli import main
+from test_solver import antiparallel_triangle_instance
 
 
 def run(capsys, monkeypatch, argv, stdin=""):
@@ -84,6 +93,41 @@ class TestSolve:
         assert code == 65
         assert "parse error" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3 1\n0 1_0\n", "line 2: edge line must be two integers"),
+            ("9223372036854775808 0\n", "line 1: vertex count"),
+        ],
+    )
+    def test_bad_integers_exit_65(self, capsys, monkeypatch, text, message):
+        code, out, err = run(
+            capsys, monkeypatch, ["solve", "--ell", "1"], stdin=text
+        )
+        assert code == 65
+        assert out == ""
+        assert err.startswith(f"parse error: {message}")
+
+    def test_failed_inequality_exits_70(self, capsys, monkeypatch):
+        graph_text = write_edge_list(antiparallel_triangle_instance())
+        code, out, err = run(
+            capsys, monkeypatch,
+            ["solve", "--ell", "2", "--mode", "checked"], stdin=graph_text,
+        )
+        assert code == 70
+        assert out == ""
+        assert err.startswith(
+            "internal invariant violation: proof inequality failed: "
+            "s(2l-1) >= |Q_r|"
+        )
+        code, out, _ = run(
+            capsys, monkeypatch,
+            ["solve", "--ell", "2", "--mode", "fast"], stdin=graph_text,
+        )
+        assert code == 0
+        spider = parse_spider(out)
+        assert verify_spider(antiparallel_triangle_instance(), spider, 2) is None
+
 
 class TestVerify:
     def test_violation_exits_3(self, capsys, monkeypatch, tmp_path):
@@ -126,6 +170,15 @@ class TestOracle:
         )
         assert code == 64
 
+    def test_ell_zero_is_usage_error(self, capsys, monkeypatch):
+        graph_text = write_edge_list(gen_complete_digraph(3))
+        code, out, err = run(
+            capsys, monkeypatch, ["oracle", "--ell", "0"], stdin=graph_text
+        )
+        assert code == 64
+        assert out == ""
+        assert err == "usage error: ell must be >= 1\n"
+
 
 class TestSearch:
     def test_complete_family_hit(self, capsys, monkeypatch):
@@ -137,6 +190,22 @@ class TestSearch:
         assert code == 0
         assert out.startswith("# hit 0 min_out 3")
         assert "kept 1 of 1" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--ell", "0", "--trials", "1"], "ell must be >= 1"),
+            (["--ell", "1", "--trials", "-5"], "trials must be >= 0"),
+        ],
+    )
+    def test_bad_bounds_are_usage_errors(self, capsys, monkeypatch, flags, message):
+        code, out, err = run(
+            capsys, monkeypatch,
+            ["search", "--family", "complete", "--n", "3", *flags],
+        )
+        assert code == 64
+        assert out == ""
+        assert err == f"usage error: {message}\n"
 
     def test_hits_are_parseable_edge_lists(self, capsys, monkeypatch):
         code, out, _ = run(

@@ -1,12 +1,13 @@
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from spiderfind import (
     Digraph,
     EdgeListError,
     InsufficientOutDegree,
-    degree_profile,
     extract_exact_outdegree_subgraph,
     gen_complete_digraph,
     gen_random_out_regular,
@@ -25,8 +26,6 @@ def assert_mirror_consistent(g: Digraph) -> None:
     )
     assert out_pairs == in_pairs
     assert g.m == len(out_pairs)
-    assert sum(len(row) for row in g.out_adj) == g.m
-    assert sum(len(row) for row in g.in_adj) == g.m
 
 
 class TestParse:
@@ -62,6 +61,37 @@ class TestParse:
             parse_edge_list("banana\n")
         assert exc.value.line == 1
 
+    @pytest.mark.parametrize("token", ["1_0", "+1", "\u0661", "1.0", "--1", "0x1"])
+    def test_only_ascii_decimal_tokens(self, token):
+        # Python's int() accepts the first three.
+        with pytest.raises(EdgeListError, match="edge line must be two integers") as exc:
+            parse_edge_list(f"# c\n12 1\n0 {token}\n")
+        assert exc.value.line == 3
+        with pytest.raises(EdgeListError, match="header must be two integers") as exc:
+            parse_edge_list(f"{token} 0\n")
+        assert exc.value.line == 1
+
+    @given(
+        st.text(
+            alphabet=st.one_of(st.sampled_from("0123456789-+_"), st.characters()),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_token_rule_matches_regex(self, token):
+        assume(not any(ch.isspace() for ch in token))
+        try:
+            parse_edge_list(f"12 1\n0 {token}\n")
+            rejected = False
+        except EdgeListError as exc:
+            rejected = "two integers" in str(exc)
+        assert rejected == (re.fullmatch(r"-?[0-9]+", token) is None)
+
+    def test_header_beyond_int32_ids(self):
+        with pytest.raises(EdgeListError, match="int32") as exc:
+            parse_edge_list("9223372036854775808 0\n")
+        assert exc.value.line == 1
+
     def test_edge_count_mismatch(self):
         with pytest.raises(EdgeListError):
             parse_edge_list("3 2\n0 1\n")
@@ -83,7 +113,6 @@ class TestParse:
     def test_round_trip(self, g):
         again = parse_edge_list(write_edge_list(g))
         assert again == g
-        assert again.out_adj == g.out_adj
 
 
 class TestComplete:
@@ -218,11 +247,9 @@ class TestDegrees:
 
     def test_degree_profile(self):
         g = parse_edge_list("3 2\n0 1\n2 1\n")
-        prof = degree_profile(g)
-        assert prof.out_deg == (1, 0, 1)
-        assert prof.in_deg == (0, 2, 0)
-        assert prof.min_out == 0
-        assert prof.max_in == 2
+        assert g.out_degrees.tolist() == [1, 0, 1]
+        assert g.in_degrees.tolist() == [0, 2, 0]
+        assert min_out_degree(g) == 0
 
     @given(digraphs())
     def test_degree_sums(self, g):

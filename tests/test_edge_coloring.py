@@ -1,11 +1,9 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spiderfind import (
-    DegreeBoundViolated,
-    QPath,
+    QPaths,
     Spider,
     build_extension_graph,
     largest_color_class,
@@ -23,7 +21,7 @@ from reference import check_proper_coloring
 from strategies import out_regular_digraphs
 
 
-def make_h(edges, ell=None):
+def make_h(edges):
     """Synthetic undirected ExtensionGraph; payloads mirror the stored pair."""
     if edges:
         top = max(max(u, v) for u, v in edges)
@@ -33,9 +31,26 @@ def make_h(edges, ell=None):
     eu = np.asarray([u for u, _ in edges], dtype=np.int32)
     ev = np.asarray([v for _, v in edges], dtype=np.int32)
     return ExtensionGraph(
-        n=n, r=n - 1, excluded=frozenset(),
-        edge_u=eu, edge_v=ev, leaf=eu.copy(), mid=ev.copy(), ell=ell,
+        n=n, r=n - 1, edge_u=eu, edge_v=ev, leaf=eu.copy(), mid=ev.copy()
     )
+
+
+def make_q(paths, r, n):
+    """QPaths from (first, middle) pairs, each realizing first -> middle -> r."""
+    return QPaths(
+        first=np.asarray([f for f, _ in paths], dtype=np.int32),
+        middle=np.asarray([m for _, m in paths], dtype=np.int32),
+        r=r,
+        n=n,
+    )
+
+
+def edge_list(h):
+    return list(zip(h.edge_u.tolist(), h.edge_v.tolist()))
+
+
+def colors_used(col):
+    return len(set(col.color_of.tolist()))
 
 
 @st.composite
@@ -48,52 +63,38 @@ def undirected_graphs(draw, max_n=16):
 
 class TestBuild:
     def test_two_paths_share_middle(self):
-        q = [QPath(1, 2, 0), QPath(3, 2, 0)]
-        h = build_extension_graph(q, 0, set(), ell=2)
+        h = build_extension_graph(make_q([(1, 2), (3, 2)], r=0, n=4))
         assert h.num_edges == 2
-        assert {h.edge(0), h.edge(1)} == {(1, 2), (2, 3)}
+        assert set(edge_list(h)) == {(1, 2), (2, 3)}
         assert h.max_degree == 2
+        assert h.r == 0
 
     def test_opposite_orientations_merge_first_wins(self):
-        q = [QPath(1, 2, 0), QPath(2, 1, 0)]
-        h = build_extension_graph(q, 0, set(), ell=2)
+        h = build_extension_graph(make_q([(2, 1), (1, 2)], r=0, n=3))
         assert h.num_edges == 1
-        assert h.edge(0) == (1, 2)
-        assert h.payload(0) == (1, 2)
+        assert edge_list(h) == [(1, 2)]
+        assert (int(h.leaf[0]), int(h.mid[0])) == (2, 1)
 
     def test_empty(self):
-        h = build_extension_graph([], 0, set(), ell=2)
+        h = build_extension_graph(make_q([], r=0, n=3))
         assert h.num_edges == 0
         assert h.max_degree == 0
-
-    def test_degree_bound_violation(self):
-        # ell=1 allows degree at most 0, so any edge trips the bound.
-        with pytest.raises(DegreeBoundViolated):
-            build_extension_graph([QPath(1, 2, 0)], 0, set(), ell=1)
-
-    def test_excluded_vertex_rejected(self):
-        with pytest.raises(ValueError):
-            build_extension_graph([QPath(1, 2, 0)], 0, {2}, ell=2, checked=True)
-
-    def test_vertices_property(self):
-        h = build_extension_graph([QPath(1, 2, 0)], 0, {3}, ell=2)
-        assert h.vertices == frozenset({1, 2})
 
 
 class TestTruncate:
     def test_below_threshold_unchanged(self):
-        h = make_h([(0, 1), (2, 3), (4, 5)], ell=2)
+        h = make_h([(0, 1), (2, 3), (4, 5)])
         assert truncate_for_coloring(h, 2) is h
 
     def test_cap_applied(self):
-        h = make_h([(0, i + 1) for i in range(10)], ell=None)
+        h = make_h([(0, i + 1) for i in range(10)])
         ht = truncate_for_coloring(h, 2)
         assert ht.num_edges == 4
         assert ht.truncated is True
-        assert [ht.edge(i) for i in range(4)] == [(0, 1), (0, 2), (0, 3), (0, 4)]
+        assert edge_list(ht) == [(0, 1), (0, 2), (0, 3), (0, 4)]
 
     def test_ell_one_threshold(self):
-        h = make_h([(0, 1), (2, 3)], ell=None)
+        h = make_h([(0, 1), (2, 3)])
         ht = truncate_for_coloring(h, 1)
         assert ht.num_edges == 1
 
@@ -108,13 +109,13 @@ class TestVizing:
         h = make_h([(0, 1), (1, 2), (0, 2)])
         col = vizing_color(h)
         assert col.palette == 3
-        assert col.colors_used() == 3
-        assert check_proper_coloring([h.edge(i) for i in range(3)], col.color_of.tolist())
+        assert colors_used(col) == 3
+        assert check_proper_coloring(edge_list(h), col.color_of.tolist())
 
     def test_path_two_edges(self):
         h = make_h([(0, 1), (1, 2)])
         col = vizing_color(h)
-        assert col.colors_used() == 2
+        assert colors_used(col) == 2
         assert col.palette == 3
 
     def test_empty(self):
@@ -127,10 +128,8 @@ class TestVizing:
         h = make_h([(0, i) for i in range(1, 31)])
         col = vizing_color(h)
         assert col.palette == 31
-        assert col.colors_used() == 30
-        assert check_proper_coloring(
-            [h.edge(i) for i in range(30)], col.color_of.tolist()
-        )
+        assert colors_used(col) == 30
+        assert check_proper_coloring(edge_list(h), col.color_of.tolist())
 
     def test_deterministic(self):
         edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)]
@@ -152,7 +151,7 @@ class TestVizing:
                 deg[v] = deg.get(v, 0) + 1
             delta = max(deg.values())
             assert col.palette == delta + 1
-            assert col.colors_used() <= delta + 1
+            assert colors_used(col) <= delta + 1
 
 
 class TestLargestClass:
@@ -184,7 +183,7 @@ class TestLargestClass:
         if not edges:
             assert cls.shape[0] == 0
             return
-        ends = [h.edge(int(i)) for i in cls]
+        ends = [edge_list(h)[int(i)] for i in cls]
         flat = [v for e in ends for v in e]
         assert len(set(flat)) == len(flat)
         assert cls.shape[0] * col.palette >= len(edges)
@@ -196,14 +195,14 @@ class TestPayloadSoundness:
     def test_class_payloads_form_disjoint_legs(self, g_ell):
         g, ell = g_ell
         part = partition_by_in_degree(g, ell)
-        r = int(select_root(score_roots(g, part, ell), ell).x)
-        pool = strong_extender_pool(g, r, ell, part.a_set)
+        r = int(select_root(score_roots(g, part, ell)).x)
+        pool = strong_extender_pool(g, r, ell, part.a_mask)
         q = compute_q_paths(g, r, part, pool)
-        h = build_extension_graph(q, r, pool.a_r | pool.c_r, ell=ell)
+        h = build_extension_graph(q)
         ht = truncate_for_coloring(h, ell)
         col = vizing_color(ht)
         cls = largest_color_class(ht, col)
-        legs = tuple(ht.payload(int(i)) for i in cls)
+        legs = tuple((int(ht.leaf[i]), int(ht.mid[i])) for i in cls)
         assert verify_spider(g, Spider(r, legs), len(legs)) is None
 
 

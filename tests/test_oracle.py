@@ -87,6 +87,10 @@ class TestHasSpider:
         assert res.witness.root == 0
         assert verify_spider(gen_complete_digraph(3), res.witness, 1) is None
 
+    def test_ell_below_one_rejected(self):
+        with pytest.raises(ValueError, match="ell must be >= 1"):
+            has_spider_bruteforce(gen_complete_digraph(3), 0)
+
     def test_witness_truncated_to_ell(self):
         g = gen_complete_digraph(7)
         res = has_spider_bruteforce(g, 2)
@@ -134,6 +138,21 @@ class TestSearch:
             lambda seed: gen_random_out_regular(10, 4, seed), ell=2, trials=20, seed=0
         )
         assert len(out.kept) == 0
+
+    @pytest.mark.parametrize(
+        "ell, trials, message",
+        [(0, 1, "ell must be >= 1"), (1, -5, "trials must be >= 0")],
+    )
+    def test_bad_bounds_rejected(self, ell, trials, message):
+        sampled = []
+
+        def sample(seed):
+            sampled.append(seed)
+            return gen_complete_digraph(3)
+
+        with pytest.raises(ValueError, match=message):
+            search_spider_free(sample, ell=ell, trials=trials, seed=0)
+        assert sampled == []
 
     def test_oversize_samples_skipped(self):
         out = search_spider_free(

@@ -5,12 +5,10 @@ from hypothesis import given, settings
 import spiderfind.root_selection as rs
 from spiderfind import (
     ABPartition,
-    AveragingBoundViolated,
     Digraph,
-    EmptyA,
     ExtenderPool,
-    QBoundViolated,
     RootScore,
+    RootScores,
     compute_q_paths,
     gen_complete_digraph,
     partition_by_in_degree,
@@ -28,11 +26,14 @@ def manual_partition(n, ell, a_vertices):
     return ABPartition(ell=ell, a_mask=mask)
 
 
+def vertex_set(mask):
+    return set(np.flatnonzero(mask).tolist())
+
+
 class TestPartition:
     def test_k5(self):
         part = partition_by_in_degree(gen_complete_digraph(5), 2)
-        assert part.a_set == frozenset(range(5))
-        assert part.b_set == frozenset()
+        assert part.a_mask.tolist() == [True] * 5
 
     def test_non_regular_rejected(self):
         with pytest.raises(ValueError):
@@ -48,8 +49,7 @@ class TestPartition:
         part = partition_by_in_degree(g, 1)
         in_deg = g.in_degrees
         for v in range(6):
-            assert (v in part.a_set) == (in_deg[v] >= 2)
-            assert (v in part.b_set) == (in_deg[v] <= 1)
+            assert part.a_mask[v] == (in_deg[v] >= 2)
 
     @given(out_regular_digraphs(max_ell=4, max_n=50))
     @settings(max_examples=50)
@@ -57,9 +57,8 @@ class TestPartition:
         # Total in-degree equals 2l*n, so some vertex reaches the threshold.
         g, ell = g_ell
         part = partition_by_in_degree(g, ell)
-        assert len(part.a_set) >= 1
-        assert part.a_set | part.b_set == frozenset(range(g.n))
-        assert part.a_set.isdisjoint(part.b_set)
+        assert part.a_mask.shape == (g.n,)
+        assert part.a_mask.any()
 
 
 class TestScoreRoots:
@@ -96,20 +95,14 @@ class TestScoreRoots:
         scores = score_roots(g, part, 1)
         assert scores[0].vb_x == 1
 
-    def test_empty_a_raises(self):
-        g = gen_complete_digraph(3)
-        part = manual_partition(3, 1, set())
-        with pytest.raises(EmptyA):
-            score_roots(g, part, 1)
-
     @given(out_regular_digraphs(max_ell=3, max_n=20))
     @settings(max_examples=40)
     def test_matches_bruteforce(self, g_ell):
         g, ell = g_ell
         part = partition_by_in_degree(g, ell)
         scores = score_roots(g, part, ell)
-        b_set = set(part.b_set)
-        a_set = set(part.a_set)
+        a_set = vertex_set(part.a_mask)
+        b_set = vertex_set(~part.a_mask)
         for entry in scores:
             assert entry.a_x == brute_a_count(g, entry.x, a_set)
             assert entry.vb_x == brute_vb_count(g, entry.x, b_set)
@@ -134,37 +127,33 @@ class TestSelectRoot:
     def test_k5_tiebreak_zero(self):
         g = gen_complete_digraph(5)
         part = partition_by_in_degree(g, 2)
-        winner = select_root(score_roots(g, part, 2), 2)
+        winner = select_root(score_roots(g, part, 2))
         assert winner.x == 0
         assert winner.score == 16
 
     def test_single_entry(self):
-        entry = RootScore(x=3, a_x=6, vb_x=0, score=24)
-        assert select_root([entry], 2, checked=True) == entry
+        scores = RootScores(
+            xs=np.array([3]), a=np.array([6]), vb=np.array([0]), ell=2
+        )
+        assert select_root(scores) == RootScore(x=3, a_x=6, vb_x=0, score=24)
 
     def test_tiebreak_smallest_id(self):
-        scores = [
-            RootScore(x=3, a_x=3, vb_x=0, score=12),
-            RootScore(x=1, a_x=3, vb_x=0, score=12),
-        ]
-        assert select_root(scores, 2).x == 1
-
-    def test_averaging_bound_enforced(self):
-        scores = [RootScore(x=0, a_x=0, vb_x=3, score=3)]
-        with pytest.raises(AveragingBoundViolated):
-            select_root(scores, 2, checked=True)
-        assert select_root(scores, 2, checked=False).x == 0
-
-    def test_empty_scores(self):
-        with pytest.raises(EmptyA):
-            select_root([], 1)
+        # x=1 and x=3 both score 12 and beat x=2.
+        scores = RootScores(
+            xs=np.array([1, 2, 3]),
+            a=np.array([3, 2, 2]),
+            vb=np.array([0, 3, 4]),
+            ell=2,
+        )
+        assert scores.score.tolist() == [12, 11, 12]
+        assert select_root(scores).x == 1
 
     @given(out_regular_digraphs(max_ell=4, max_n=40))
     @settings(max_examples=60)
     def test_averaging_bound_holds_on_regular_inputs(self, g_ell):
         g, ell = g_ell
         part = partition_by_in_degree(g, ell)
-        winner = select_root(score_roots(g, part, ell), ell, checked=True)
+        winner = select_root(score_roots(g, part, ell))
         d = 2 * ell
         assert winner.score >= d * d - d
 
@@ -173,7 +162,7 @@ class TestQPaths:
     def test_k5_empty_vacuous(self):
         g = gen_complete_digraph(5)
         part = partition_by_in_degree(g, 2)
-        pool = strong_extender_pool(g, 0, 2, part.a_set)
+        pool = strong_extender_pool(g, 0, 2, part.a_mask)
         q = compute_q_paths(g, 0, part, pool)
         assert len(q) == 0
 
@@ -181,35 +170,27 @@ class TestQPaths:
         g = Digraph.from_edges(4, [(1, 2), (3, 2), (2, 0)])
         part = manual_partition(4, 1, {0})
         pool = ExtenderPool(r=0, a_r=frozenset(), c_r=frozenset(), ell=1)
-        q = compute_q_paths(g, 0, part, pool, checked=False)
-        got = {(p.first, p.middle, p.last) for p in q}
-        assert got == {(1, 2, 0), (3, 2, 0)}
-
-    def test_bound_violation_detected_with_fake_pool(self):
-        g = gen_complete_digraph(5)
-        part = partition_by_in_degree(g, 2)
-        fake = ExtenderPool(r=0, a_r=frozenset(), c_r=frozenset(), ell=2)
-        with pytest.raises(QBoundViolated):
-            compute_q_paths(g, 0, part, fake, checked=True)
-        assert len(compute_q_paths(g, 0, part, fake, checked=False)) == 0
+        q = compute_q_paths(g, 0, part, pool)
+        assert q.r == 0
+        assert set(zip(q.first.tolist(), q.middle.tolist())) == {(1, 2), (3, 2)}
 
     @given(out_regular_digraphs(max_ell=3, max_n=20))
     @settings(max_examples=40)
     def test_paths_validate_and_bound_holds(self, g_ell):
         g, ell = g_ell
         part = partition_by_in_degree(g, ell)
-        r = int(select_root(score_roots(g, part, ell), ell).x)
-        pool = strong_extender_pool(g, r, ell, part.a_set)
-        q = compute_q_paths(g, r, part, pool, checked=True)
+        r = int(select_root(score_roots(g, part, ell)).x)
+        pool = strong_extender_pool(g, r, ell, part.a_mask)
+        q = compute_q_paths(g, r, part, pool)
         excluded = pool.a_r | pool.c_r
         edges = set(g.edges())
-        for p in q:
-            assert p.last == r
-            assert p.first not in (r, p.middle)
-            assert (p.first, p.middle) in edges
-            assert (p.middle, r) in edges
-            assert p.middle in part.b_set
-            assert p.first not in excluded and p.middle not in excluded
+        assert q.r == r
+        for first, middle in zip(q.first.tolist(), q.middle.tolist()):
+            assert first not in (r, middle)
+            assert (first, middle) in edges
+            assert (middle, r) in edges
+            assert not part.a_mask[middle]
+            assert first not in excluded and middle not in excluded
         d = 2 * ell
         bound = d * d - d - (len(pool.a_r) + len(pool.c_r)) * (4 * ell - 1)
         assert len(q) >= bound
@@ -221,10 +202,10 @@ class TestQPaths:
         # at most 2l-1 for a_r members, at most 4l-1 for c_r members.
         g, ell = g_ell
         part = partition_by_in_degree(g, ell)
-        r = int(select_root(score_roots(g, part, ell), ell).x)
-        pool = strong_extender_pool(g, r, ell, part.a_set)
+        r = int(select_root(score_roots(g, part, ell)).x)
+        pool = strong_extender_pool(g, r, ell, part.a_mask)
         vb_paths = [
-            (v, b) for v, b in brute_two_paths_to(g, r) if b in part.b_set
+            (v, b) for v, b in brute_two_paths_to(g, r) if not part.a_mask[b]
         ]
         for x in pool.a_r:
             touched = sum(1 for v, b in vb_paths if x in (v, b))

@@ -1,8 +1,19 @@
+import dataclasses
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import spiderfind.solver as solver
 from spiderfind import (
+    ABPartition,
+    Digraph,
+    EmptyA,
+    InternalInvariantError,
     PreconditionOutDegree,
+    QPaths,
+    ViolationKind,
     explain_trace,
     find_spider,
     format_spider,
@@ -125,7 +136,7 @@ class TestFindSpider:
         assert verify_spider(g, out.spider, ell) is None
 
 
-def antiparallel_triangle_instance() -> "Digraph":
+def antiparallel_triangle_instance() -> Digraph:
     """4-out-regular graph where the path-count coverage check fails.
 
     Vertices 1, 2, 3 point at the root 0 and at each other in both
@@ -136,8 +147,6 @@ def antiparallel_triangle_instance() -> "Digraph":
     but color classes cover undirected edges.  The final guarantee
     a + c + s >= l is unaffected and a valid spider still comes out.
     """
-    from spiderfind import Digraph
-
     edges = [(0, 4), (0, 5), (0, 6), (0, 7)]
     edges += [(1, 2), (1, 3), (1, 0), (1, 8)]
     edges += [(2, 1), (2, 3), (2, 0), (2, 9)]
@@ -169,11 +178,129 @@ class TestCoverageCheckBoundary:
         assert out.trace.q_size == 6 and out.trace.s == 1
 
     def test_checked_mode_raises(self):
-        from spiderfind import InternalInvariantError
-
         g = antiparallel_triangle_instance()
         with pytest.raises(InternalInvariantError, match=r"s\(2l-1\)"):
             find_spider(g, 2, mode="checked")
+
+
+def few_extenders_instance() -> Digraph:
+    """6-out-regular graph whose chosen root 5 has a + c = 2 < l = 3.
+
+    That makes the |Q_r| bound positive, 30 - 2 * 11 = 8 against
+    |Q_r| = 19, which the root-score maximization all but rules out on
+    random regular graphs.  Found by local search over edge rewirings.
+    """
+    rows = [
+        [1, 6, 7, 8, 11, 12], [2, 5, 9, 10, 11, 14], [1, 5, 8, 9, 10, 12],
+        [0, 4, 8, 9, 12, 13], [0, 1, 3, 5, 12, 14], [1, 2, 6, 7, 12, 13],
+        [0, 1, 7, 9, 13, 14], [1, 5, 10, 11, 12, 13], [0, 2, 5, 6, 9, 12],
+        [0, 3, 6, 7, 10, 11], [1, 2, 5, 6, 9, 12], [0, 1, 3, 5, 7, 9],
+        [2, 3, 6, 7, 8, 14], [0, 4, 5, 6, 7, 9], [0, 4, 5, 6, 9, 12],
+    ]
+    return Digraph.from_edges(15, [(v, u) for v, row in enumerate(rows) for u in row])
+
+
+def _low_score(select_root, ell):
+    return lambda scores: dataclasses.replace(select_root(scores), score=0)
+
+
+def _short_q(compute_q_paths, ell):
+    def stage(g, r, part, pool):
+        q = compute_q_paths(g, r, part, pool)
+        d = 2 * ell
+        keep = d * d - d - (len(pool.a_r) + len(pool.c_r)) * (4 * ell - 1) - 1
+        assert keep >= 0
+        return QPaths(q.first[:keep], q.middle[:keep], q.r, q.n)
+
+    return stage
+
+
+def _high_degree(build_extension_graph, ell):
+    def stage(q):
+        h = build_extension_graph(q)
+        h.max_degree = 2 * ell - 1
+        return h
+
+    return stage
+
+
+def _wide_palette(vizing_color, ell):
+    return lambda h, checked: dataclasses.replace(
+        vizing_color(h, checked=checked), palette=2 * ell
+    )
+
+
+def _empty_class(largest_color_class, ell):
+    return lambda h, col: largest_color_class(h, col)[:0]
+
+
+STAGE_DEFECTS = [
+    # stage, defect, the inequality it breaks, instance, l
+    ("select_root", _low_score, "score >= d^2 - d",
+     lambda: gen_complete_digraph(5), 2),
+    ("compute_q_paths", _short_q, "|Q_r| >= d^2 - d - (a+c)(4l-1)",
+     few_extenders_instance, 3),
+    ("build_extension_graph", _high_degree, "max_deg(H) <= 2l - 2",
+     few_extenders_instance, 3),
+    ("vizing_color", _wide_palette, "palette <= 2l - 1",
+     few_extenders_instance, 3),
+    ("largest_color_class", _empty_class, "s(2l-1) >= |Q_r|",
+     lambda: gen_random_out_regular(18, 4, seed=1), 2),
+]
+
+
+class TestOneEnforcementPoint:
+    """Stages only compute; find_spider alone records and enforces the
+    proof inequalities, so a defective stage result surfaces there."""
+
+    @pytest.mark.parametrize(
+        "stage, defect, check, make_graph, ell",
+        STAGE_DEFECTS,
+        ids=[row[0] for row in STAGE_DEFECTS],
+    )
+    def test_defective_stage_is_caught(
+        self, monkeypatch, stage, defect, check, make_graph, ell
+    ):
+        g = make_graph()
+        assert all(c.passed for c in find_spider(g, ell).trace.checks)
+        monkeypatch.setattr(solver, stage, defect(getattr(solver, stage), ell))
+        with pytest.raises(
+            InternalInvariantError,
+            match="^" + re.escape(f"proof inequality failed: {check} ("),
+        ):
+            find_spider(g, ell, mode="checked")
+        out = find_spider(g, ell, mode="fast")
+        assert check in [c.name for c in out.trace.checks if not c.passed]
+        assert verify_spider(g, out.spider, ell) is None
+
+    @pytest.mark.parametrize("mode", ["checked", "fast"])
+    def test_empty_a_class_raises(self, monkeypatch, mode):
+        monkeypatch.setattr(
+            solver,
+            "partition_by_in_degree",
+            lambda g, ell: ABPartition(ell=ell, a_mask=np.zeros(g.n, dtype=bool)),
+        )
+        with pytest.raises(EmptyA):
+            find_spider(gen_complete_digraph(5), 2, mode=mode)
+
+    def test_leg_through_root_fails_verification(self, monkeypatch):
+        # Paths 0 -> 1 -> 0 and 2 -> 3 -> 0 at root 0 touch the root and
+        # strong extenders; they color into one class that is the spider.
+        monkeypatch.setattr(
+            solver,
+            "compute_q_paths",
+            lambda g, r, part, pool: QPaths(
+                np.array([r, 2]), np.array([1, 3]), r, g.n
+            ),
+        )
+        g = gen_complete_digraph(5)
+        with pytest.raises(
+            InternalInvariantError,
+            match="^constructed spider failed verification: root 0",
+        ):
+            find_spider(g, 2, mode="checked")
+        out = find_spider(g, 2, mode="fast")
+        assert verify_spider(g, out.spider, 2).kind is ViolationKind.ROOT_IN_LEG
 
 
 class TestExplainTrace:

@@ -129,3 +129,8 @@ class TestText:
         with pytest.raises(SpiderFormatError) as exc:
             parse_spider("root 2\n1 2 3\n")
         assert exc.value.line == 2
+        with pytest.raises(SpiderFormatError, match="root id must be an integer"):
+            parse_spider("root 1_0\n")
+        with pytest.raises(SpiderFormatError, match="two integers") as exc:
+            parse_spider("root 2\n\n+1 3\n")
+        assert exc.value.line == 3
