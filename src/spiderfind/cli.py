@@ -241,6 +241,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
+    except MemoryError:
+        sys.stderr.write("usage error: instance too large: out of memory\n")
+        return EXIT_USAGE
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
         return EXIT_USAGE

@@ -108,6 +108,20 @@ class TestSolve:
         assert out == ""
         assert err.startswith(f"parse error: {message}")
 
+    def test_out_of_memory_exits_64(self, capsys, monkeypatch):
+        # A header such as "2147483648 0" passes the n bound and then asks
+        # for a 16 GiB CSR; the failing allocation is simulated, not made.
+        def exhausted(text):
+            raise MemoryError
+
+        monkeypatch.setattr("spiderfind.cli.parse_edge_list", exhausted)
+        code, out, err = run(
+            capsys, monkeypatch, ["solve", "--ell", "1"], stdin="2147483648 0\n"
+        )
+        assert code == 64
+        assert out == ""
+        assert err == "usage error: instance too large: out of memory\n"
+
     def test_failed_inequality_exits_70(self, capsys, monkeypatch):
         graph_text = write_edge_list(antiparallel_triangle_instance())
         code, out, err = run(

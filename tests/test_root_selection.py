@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-import spiderfind.root_selection as rs
 from spiderfind import (
     ABPartition,
     Digraph,
@@ -108,19 +107,44 @@ class TestScoreRoots:
             assert entry.vb_x == brute_vb_count(g, entry.x, b_set)
             assert entry.score == 2 * ell * entry.a_x + entry.vb_x
 
-    @given(out_regular_digraphs(max_ell=2, max_n=16))
-    @settings(max_examples=20)
-    def test_sorted_key_path_agrees_with_table_path(self, g_ell):
-        g, ell = g_ell
+    def test_exact_at_large_n_with_planted_antiparallel_pairs(self):
+        # At n = 50,000 the pair keys x*n + b exceed the int32 range.  The
+        # graph is 2-out-regular; 500 disjoint vertex pairs point at each
+        # other, so many B -> A edges need the antiparallel correction.
+        n, ell, n_pairs = 50_000, 1, 500
+        rng = np.random.default_rng(20261018)
+        src = np.repeat(np.arange(n, dtype=np.int64), 2).reshape(n, 2)
+        dst = (src + rng.integers(1, n, size=(n, 2))) % n
+        pairs = rng.permutation(n)[: 2 * n_pairs].reshape(n_pairs, 2)
+        dst[pairs[:, 0], 0] = pairs[:, 1]
+        dst[pairs[:, 1], 0] = pairs[:, 0]
+        for v in np.flatnonzero(dst[:, 0] == dst[:, 1]):
+            while dst[v, 1] in (v, dst[v, 0]):
+                dst[v, 1] = rng.integers(n)
+        g = Digraph.from_edge_arrays(n, src.ravel(), dst.ravel())
         part = partition_by_in_degree(g, ell)
-        table = score_roots(g, part, ell)
-        saved = rs._PAIR_TABLE_MAX_CELLS
-        try:
-            rs._PAIR_TABLE_MAX_CELLS = 0
-            sorted_path = score_roots(g, part, ell)
-        finally:
-            rs._PAIR_TABLE_MAX_CELLS = saved
-        assert list(table) == list(sorted_path)
+        scores = score_roots(g, part, ell)
+
+        in_nbrs = {v: set() for v in range(n)}
+        for u, v in g.edges():
+            in_nbrs[v].add(u)
+        a_mask = part.a_mask
+        xs = np.flatnonzero(a_mask).tolist()
+        want_a = [sum(1 for u in in_nbrs[x] if a_mask[u]) for x in xs]
+        want_vb = [
+            sum(len(in_nbrs[b] - {x}) for b in in_nbrs[x] if not a_mask[b])
+            for x in xs
+        ]
+        assert scores.xs.tolist() == xs
+        assert scores.a.tolist() == want_a
+        assert scores.vb.tolist() == want_vb
+        corrected = [
+            (x, b)
+            for x, b in pairs.tolist() + pairs[:, ::-1].tolist()
+            if a_mask[x] and not a_mask[b]
+        ]
+        assert len(corrected) >= 100
+        assert max(x for x, _ in corrected) * n > 2**31
 
 
 class TestSelectRoot:
