@@ -48,7 +48,6 @@ from .oracle import (
     search_spider_free,
 )
 from .root_selection import (
-    ABPartition,
     QPaths,
     RootScore,
     RootScores,

@@ -106,10 +106,17 @@ def _build_parser() -> _Parser:
 
 
 def _read_text(path: str) -> str:
+    """UTF-8 text of a file or of stdin ("-"), whatever the locale.
+
+    Undecodable bytes survive as lone surrogates, so they fail parsing with
+    a line-numbered error (exit 65) on both paths.
+    """
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    return data.decode("utf-8", "surrogateescape")
 
 
 def _write_text(path: str, text: str) -> None:

@@ -2,9 +2,9 @@
 
 A Digraph is an immutable simple directed graph (antiparallel pairs allowed,
 no loops, no duplicate edges) over dense 0-based vertex ids.  Out-adjacency
-is the primary representation, stored CSR-style in two numpy arrays; the
-mirrored in-adjacency and a few derived arrays are computed lazily and
-cached, so algorithms that never need them do not pay for them.
+is the only stored adjacency, CSR-style in two numpy arrays.  In-degrees and
+the per-edge source array are derived lazily and cached; in-neighbors of a
+few vertices come from one pass over the edges (`in_neighbor_map`).
 """
 from __future__ import annotations
 
@@ -34,18 +34,9 @@ _FY_BLOCK_CELLS = 4_000_000
 
 
 class Digraph:
-    """Immutable directed graph with synchronized out- and in-adjacency."""
+    """Immutable directed graph stored as out-adjacency CSR."""
 
-    __slots__ = (
-        "n",
-        "m",
-        "_indptr",
-        "_indices",
-        "_src",
-        "_in_deg",
-        "_in_indptr",
-        "_in_indices",
-    )
+    __slots__ = ("n", "m", "_indptr", "_indices", "_src", "_in_deg")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
         self.n = int(n)
@@ -58,8 +49,6 @@ class Digraph:
         self._indices = indices
         self._src = None
         self._in_deg = None
-        self._in_indptr = None
-        self._in_indices = None
 
     # ---- construction ----------------------------------------------------
 
@@ -134,44 +123,28 @@ class Digraph:
         """Per-edge destination vertex, in out-adjacency order."""
         return self._indices
 
-    def out_degree(self, v: int) -> int:
-        return int(self._indptr[v + 1] - self._indptr[v])
-
-    def in_degree(self, v: int) -> int:
-        return int(self.in_degrees[v])
-
     def out_neighbors(self, v: int) -> np.ndarray:
         return self._indices[self._indptr[v] : self._indptr[v + 1]]
 
-    def in_neighbors(self, v: int) -> np.ndarray:
-        self._build_in_csr()
-        return self._in_indices[self._in_indptr[v] : self._in_indptr[v + 1]]
-
     def in_neighbor_map(self, targets: Sequence[int]) -> dict[int, np.ndarray]:
-        """In-neighbor arrays for a few vertices via one pass over the edges.
+        """Ascending in-neighbor arrays of a few vertices, in one edge pass.
 
-        Cheaper than materializing the full in-adjacency when only a handful
-        of vertices matter (greedy extension, extender classification).
+        The graph stores no in-adjacency; its callers (extender
+        classification, greedy extension) need only a handful of vertices.
         """
         targets = list(dict.fromkeys(int(t) for t in targets))
-        if self._in_indices is not None or not targets:
-            return {t: self.in_neighbors(t) for t in targets}
         mask = np.zeros(self.n, dtype=bool)
         mask[targets] = True
         sel = mask[self._indices]
         hit_dst = self._indices[sel]
         hit_src = self.edge_src[sel]
-        out = {t: [] for t in targets}
         order = np.argsort(hit_dst, kind="stable")
         hit_dst = hit_dst[order]
         hit_src = hit_src[order]
-        bounds = np.searchsorted(hit_dst, np.asarray(targets, dtype=np.int32))
-        ends = np.searchsorted(
-            hit_dst, np.asarray(targets, dtype=np.int32), side="right"
-        )
-        for t, b, e in zip(targets, bounds, ends):
-            out[t] = hit_src[b:e]
-        return out
+        keys = np.asarray(targets, dtype=np.int32)
+        bounds = np.searchsorted(hit_dst, keys)
+        ends = np.searchsorted(hit_dst, keys, side="right")
+        return {t: hit_src[b:e] for t, b, e in zip(targets, bounds, ends)}
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -183,19 +156,6 @@ class Digraph:
         src = self.edge_src.tolist()
         dst = self._indices.tolist()
         return zip(src, dst)
-
-    def _build_in_csr(self) -> None:
-        if self._in_indptr is not None:
-            return
-        order = np.argsort(self._indices, kind="stable")
-        counts = np.bincount(self._indices, minlength=self.n)
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = self.edge_src[order].astype(np.int32)
-        indptr.setflags(write=False)
-        indices.setflags(write=False)
-        self._in_indptr = indptr
-        self._in_indices = indices
 
     # ---- dunder ------------------------------------------------------------
 

@@ -27,12 +27,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExtenderPool:
-    """Strong extenders for r: a_r from the high-in-degree class, c_r the rest."""
+    """Strong extenders for a root r, as disjoint ascending vertex arrays.
 
-    r: int
-    a_r: frozenset[int]
-    c_r: frozenset[int]
-    ell: int
+    a_r holds the in-neighbors of r in the high-in-degree class; c_r holds
+    every other strong extender.
+    """
+
+    a_r: np.ndarray
+    c_r: np.ndarray
+
+
+def _extension_set(
+    g: Digraph, x: int, r: int, in_r_mask: np.ndarray, in_x: np.ndarray
+) -> np.ndarray:
+    """O(x, r) in ascending order.
+
+    O(x, r) = (N^+(x) & N^-(r)) | (N^-(x) \\ {r} when x -> r), where
+    `in_r_mask` marks N^-(r) and `in_x` is N^-(x).
+    """
+    row = g.out_neighbors(x)
+    incoming = in_x[in_x != r] if in_r_mask[x] else in_x[:0]
+    return np.union1d(row[in_r_mask[row]], incoming)
 
 
 def strong_extender_pool(
@@ -40,10 +55,9 @@ def strong_extender_pool(
 ) -> ExtenderPool:
     """Classify every (2l-1)-extender for r.
 
-    a_r is N^-(r) intersected with the given high-in-degree class; each of
-    its members is automatically strong (it points at r and has at least
-    2l-1 in-neighbors besides r).  c_r holds every other strong extender.
-    `a_mask` is the class as a boolean mask over [0, n).
+    a_r is N^-(r) intersected with the high-in-degree class `a_mask`, a
+    boolean mask over [0, n); each of its members is automatically strong
+    (it points at r and has at least 2l-1 in-neighbors besides r).
     """
     n = g.n
     thr = 2 * ell - 1
@@ -61,31 +75,17 @@ def strong_extender_pool(
     strong_mask = count1 >= thr
 
     # In-neighbors of r outside a_r may still be strong through the second
-    # clause; compute the exact union size just for the unresolved ones.
+    # clause; take the exact size of O(x, r) just for the unresolved ones.
     cand = in_r_vertices[~a_mask[in_r_vertices]]
-    cand = cand[count1[cand] < thr]
-    in_map = g.in_neighbor_map(cand.tolist())
-    scratch = np.zeros(n, dtype=bool)
-    for x in cand.tolist():
-        row = g.out_neighbors(x)
-        hits = row[in_r_mask[row]]
-        incoming = in_map[x]
-        incoming = incoming[incoming != r]
-        scratch[hits] = True
-        extra = int((~scratch[incoming]).sum())
-        scratch[hits] = False
-        if hits.shape[0] + extra >= thr:
+    cand = cand[count1[cand] < thr].tolist()
+    in_map = g.in_neighbor_map(cand)
+    for x in cand:
+        if _extension_set(g, x, r, in_r_mask, in_map[x]).shape[0] >= thr:
             strong_mask[x] = True
 
     strong_mask[r] = False
     strong_mask[a_r] = False
-    c_r = frozenset(int(v) for v in np.flatnonzero(strong_mask))
-    return ExtenderPool(
-        r=r,
-        a_r=frozenset(int(v) for v in a_r.tolist()),
-        c_r=c_r,
-        ell=ell,
-    )
+    return ExtenderPool(a_r=a_r, c_r=np.flatnonzero(strong_mask))
 
 
 def greedy_extend(
@@ -113,34 +113,17 @@ def greedy_extend(
         return base
 
     in_map = g.in_neighbor_map([r, *f_list])
-    in_r_arr = in_map[r]
     in_r_mask = np.zeros(g.n, dtype=bool)
-    in_r_mask[in_r_arr] = True
+    in_r_mask[in_map[r]] = True
     legs = list(base.legs)
     blocked = spider_verts | set(f_list)
     for x in f_list:
         blocked.discard(x)
-        row = g.out_neighbors(x)
-        via_out = row[in_r_mask[row]]
-        if in_r_mask[x]:
-            incoming = in_map[x]
-            pool = np.concatenate([via_out, incoming[incoming != r]])
-        else:
-            pool = via_out
-        # Smallest admissible candidate: walk the sorted pool, skipping the
-        # current spider and the unprocessed tail of f_seq.
-        y = None
-        forward = set(via_out.tolist())
-        for cand in np.unique(pool).tolist():
-            if cand not in blocked:
-                y = cand
-                break
+        ext = _extension_set(g, x, r, in_r_mask, in_map[x]).tolist()
+        y = next((v for v in ext if v not in blocked), None)
         if y is None:
             raise ExtensionExhausted(x)
-        if y in forward:
-            legs.append((x, y))
-        else:
-            legs.append((y, x))
+        legs.append((x, y) if in_r_mask[y] and g.has_edge(x, y) else (y, x))
         blocked.add(x)
         blocked.add(y)
     return Spider(root=r, legs=tuple(legs))

@@ -18,7 +18,6 @@ from .digraph import Digraph
 from .extenders import ExtenderPool
 
 __all__ = [
-    "ABPartition",
     "RootScore",
     "RootScores",
     "QPaths",
@@ -27,14 +26,6 @@ __all__ = [
     "select_root",
     "compute_q_paths",
 ]
-
-@dataclass
-class ABPartition:
-    """Split of V at in-degree 2l, taken on the d-out-regular subgraph."""
-
-    ell: int
-    a_mask: np.ndarray
-
 
 @dataclass(frozen=True)
 class RootScore:
@@ -82,8 +73,11 @@ class QPaths:
         return int(self.first.shape[0])
 
 
-def partition_by_in_degree(g: Digraph, ell: int) -> ABPartition:
-    """Threshold split at in-degree 2l; input must be exactly 2l-out-regular."""
+def partition_by_in_degree(g: Digraph, ell: int) -> np.ndarray:
+    """The A class, as a boolean mask over [0, n): in-degree at least 2l.
+
+    B is the complement.  The input must be exactly 2l-out-regular.
+    """
     d = 2 * ell
     deg = g.out_degrees
     if g.n == 0:
@@ -93,10 +87,10 @@ def partition_by_in_degree(g: Digraph, ell: int) -> ABPartition:
         raise ValueError(
             f"vertex {bad} has out-degree {int(deg[bad])}, expected exactly {d}"
         )
-    return ABPartition(ell=ell, a_mask=g.in_degrees >= d)
+    return g.in_degrees >= d
 
 
-def score_roots(g: Digraph, part: ABPartition, ell: int) -> RootScores:
+def score_roots(g: Digraph, a_mask: np.ndarray, ell: int) -> RootScores:
     """Exact a_x = |N^-(x) & A| and vb_x = sum over B-in-neighbors b of
     |N^-(b) \\ {x}|, for every x in the A class.
 
@@ -104,7 +98,6 @@ def score_roots(g: Digraph, part: ABPartition, ell: int) -> RootScores:
     x*n + b once.
     """
     n = g.n
-    a_mask = part.a_mask
     src = g.edge_src
     dst = g.edge_dst
     in_deg = g.in_degrees
@@ -150,7 +143,7 @@ def select_root(scores: RootScores) -> RootScore:
 def compute_q_paths(
     g: Digraph,
     r: int,
-    part: ABPartition,
+    a_mask: np.ndarray,
     pool: ExtenderPool,
 ) -> QPaths:
     """All v -> b -> r with b in B, avoiding r and every strong extender.
@@ -164,14 +157,12 @@ def compute_q_paths(
     dst = g.edge_dst
 
     excluded = np.zeros(n, dtype=bool)
-    for v in pool.a_r:
-        excluded[v] = True
-    for v in pool.c_r:
-        excluded[v] = True
+    excluded[pool.a_r] = True
+    excluded[pool.c_r] = True
 
     in_r_mask = np.zeros(n, dtype=bool)
     in_r_mask[src[dst == r]] = True
-    mid_ok = in_r_mask & ~part.a_mask & ~excluded
+    mid_ok = in_r_mask & ~a_mask & ~excluded
     sel = mid_ok[dst] & (src != r) & ~excluded[src]
 
     return QPaths(first=src[sel], middle=dst[sel], r=r, n=n)

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Literal, NamedTuple, Optional
 
+import numpy as np
+
 from .digraph import Digraph, extract_exact_outdegree_subgraph, min_out_degree
 from .edge_coloring import (
     build_extension_graph,
@@ -100,19 +102,19 @@ def find_spider(
         raise PreconditionOutDegree(mo, d)
 
     work = extract_exact_outdegree_subgraph(g, d)
-    part = partition_by_in_degree(work, ell)
-    if not part.a_mask.any():
+    a_mask = partition_by_in_degree(work, ell)
+    if not a_mask.any():
         raise EmptyA("2l-out-regular graph must contain a high-in-degree vertex")
 
-    scores = score_roots(work, part, ell)
+    scores = score_roots(work, a_mask, ell)
     root_score = select_root(scores)
     r = root_score.x
 
-    pool = strong_extender_pool(work, r, ell, part.a_mask)
+    pool = strong_extender_pool(work, r, ell, a_mask)
     a = len(pool.a_r)
     c = len(pool.c_r)
 
-    q = compute_q_paths(work, r, part, pool)
+    q = compute_q_paths(work, r, a_mask, pool)
     q_size = len(q)
 
     h = build_extension_graph(q)
@@ -151,7 +153,7 @@ def find_spider(
         spider = Spider(root=int(r), legs=base_legs[:ell])
     else:
         need = ell - s
-        f_seq = sorted(pool.a_r) + sorted(pool.c_r)
+        f_seq = np.concatenate((pool.a_r, pool.c_r))
         if len(f_seq) < need:
             raise InternalInvariantError(
                 f"need {need} strong extenders, only {len(f_seq)} available"

@@ -63,8 +63,11 @@ def verify_spider(g: Digraph, s: Spider, ell: int) -> Optional[ViolationReport]:
 
     Checks run in a fixed order -- leg count, vertex distinctness, then edge
     existence -- and the first violation wins, so diagnostics are
-    deterministic.  Only g's adjacency is consulted.
+    deterministic.  Only g's adjacency is consulted.  Raises ValueError
+    for ell < 1, which names no spider.
     """
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
     if len(s.legs) != ell:
         return ViolationReport(
             ViolationKind.WRONG_LEG_COUNT,

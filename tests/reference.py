@@ -13,6 +13,11 @@ def edge_set(g: Digraph) -> set[tuple[int, int]]:
     return set(g.edges())
 
 
+def brute_in_neighbors(g: Digraph, v: int) -> list[int]:
+    """N^-(v) in ascending order, by scanning every edge."""
+    return sorted(u for u, w in g.edges() if w == v)
+
+
 def brute_extension_set(g: Digraph, x: int, r: int) -> set[int]:
     """O(x, r) by scanning every vertex against the defining predicate."""
     edges = edge_set(g)

@@ -25,9 +25,16 @@ def no_a(g):
     return np.zeros(g.n, dtype=bool)
 
 
+def assert_pool_shape(pool):
+    """a_r and c_r are strictly ascending and disjoint."""
+    assert np.all(np.diff(pool.a_r) > 0) and np.all(np.diff(pool.c_r) > 0)
+    assert np.intersect1d(pool.a_r, pool.c_r).size == 0
+
+
 def strong_set(g, r, ell, a_mask):
     pool = strong_extender_pool(g, r, ell, a_mask)
-    return pool.a_r | pool.c_r
+    assert_pool_shape(pool)
+    return set(pool.a_r.tolist()) | set(pool.c_r.tolist())
 
 
 class TestExtensionSet:
@@ -75,41 +82,40 @@ class TestIExtender:
 class TestStrongExtenderPool:
     def test_k5(self):
         g = gen_complete_digraph(5)
-        part = partition_by_in_degree(g, 2)
-        pool = strong_extender_pool(g, 0, 2, part.a_mask)
-        assert pool.a_r == frozenset({1, 2, 3, 4})
-        assert pool.c_r == frozenset()
+        pool = strong_extender_pool(g, 0, 2, partition_by_in_degree(g, 2))
+        assert pool.a_r.tolist() == [1, 2, 3, 4]
+        assert pool.c_r.tolist() == []
 
     def test_second_clause_membership(self):
         g = Digraph.from_edges(3, [(1, 2), (2, 0)])
         pool = strong_extender_pool(g, 0, 1, no_a(g))
-        assert pool.a_r == frozenset()
-        assert 2 in pool.c_r
-        assert pool.c_r == frozenset({1, 2})
+        assert pool.a_r.tolist() == []
+        assert pool.c_r.tolist() == [1, 2]
 
     def test_isolated_root(self):
         g = Digraph.from_edges(3, [(1, 2)])
         pool = strong_extender_pool(g, 0, 1, no_a(g))
-        assert pool.a_r == frozenset() and pool.c_r == frozenset()
+        assert pool.a_r.size == 0 and pool.c_r.size == 0
 
     @given(out_regular_digraphs(max_ell=3, max_n=22))
     @settings(max_examples=40)
     def test_pool_is_exactly_the_strong_extenders(self, g_ell):
         g, ell = g_ell
-        part = partition_by_in_degree(g, ell)
+        a_mask = partition_by_in_degree(g, ell)
         r = 0
-        pool = strong_extender_pool(g, r, ell, part.a_mask)
-        assert pool.a_r.isdisjoint(pool.c_r)
-        assert r not in pool.a_r | pool.c_r
+        pool = strong_extender_pool(g, r, ell, a_mask)
+        assert_pool_shape(pool)
+        pooled = set(pool.a_r.tolist()) | set(pool.c_r.tolist())
         thr = 2 * ell - 1
-        for x in range(g.n):
-            if x == r:
-                continue
-            strong = len(brute_extension_set(g, x, r)) >= thr
-            assert ((x in pool.a_r) or (x in pool.c_r)) == strong
-        for x in pool.a_r:
+        expected = {
+            x
+            for x in range(g.n)
+            if x != r and len(brute_extension_set(g, x, r)) >= thr
+        }
+        assert pooled == expected
+        for x in pool.a_r.tolist():
             assert g.has_edge(x, r)
-            assert part.a_mask[x]
+            assert a_mask[x]
 
 
 class TestGreedyExtend:
@@ -166,10 +172,9 @@ class TestGreedyExtend:
         # With f + s = ell and every extender strong, extension always
         # completes and yields a verified spider.
         g, ell = g_ell
-        part = partition_by_in_degree(g, ell)
         r = 0
-        pool = strong_extender_pool(g, r, ell, part.a_mask)
-        f_seq = (sorted(pool.a_r) + sorted(pool.c_r))[:ell]
+        pool = strong_extender_pool(g, r, ell, partition_by_in_degree(g, ell))
+        f_seq = np.concatenate((pool.a_r, pool.c_r))[:ell]
         if len(f_seq) < ell:
             return
         out = greedy_extend(g, r, Spider(r), f_seq)

@@ -19,6 +19,14 @@ from reference import brute_max_legs
 from strategies import digraphs
 
 
+def assert_valid_legs(g, spider, count):
+    """spider has `count` valid legs; verify_spider takes only count >= 1."""
+    if count == 0:
+        assert spider.legs == ()
+    else:
+        assert verify_spider(g, spider, count) is None
+
+
 class TestMaxSpiderAtRoot:
     @pytest.mark.parametrize("ell", [1, 2, 3])
     def test_complete_on_2l_vertices_caps_at_l_minus_1(self, ell):
@@ -26,7 +34,7 @@ class TestMaxSpiderAtRoot:
         for r in range(g.n):
             count, spider = max_spider_at_root(g, r)
             assert count == ell - 1
-            assert verify_spider(g, spider, count) is None
+            assert_valid_legs(g, spider, count)
 
     @pytest.mark.parametrize("ell", [1, 2, 3])
     def test_complete_on_2l_plus_1_reaches_l(self, ell):
@@ -55,7 +63,7 @@ class TestMaxSpiderAtRoot:
         for r in range(g.n):
             count, spider = max_spider_at_root(g, r)
             assert count == brute_max_legs(g, r)
-            assert verify_spider(g, spider, count) is None
+            assert_valid_legs(g, spider, count)
 
     @given(digraphs(min_n=3, max_n=8), st.data())
     @settings(max_examples=60)

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 
 from spiderfind import (
-    ABPartition,
     Digraph,
     ExtenderPool,
     RootScore,
@@ -19,10 +18,10 @@ from reference import brute_a_count, brute_two_paths_to, brute_vb_count
 from strategies import out_regular_digraphs
 
 
-def manual_partition(n, ell, a_vertices):
+def manual_partition(n, a_vertices):
     mask = np.zeros(n, dtype=bool)
     mask[list(a_vertices)] = True
-    return ABPartition(ell=ell, a_mask=mask)
+    return mask
 
 
 def vertex_set(mask):
@@ -31,8 +30,8 @@ def vertex_set(mask):
 
 class TestPartition:
     def test_k5(self):
-        part = partition_by_in_degree(gen_complete_digraph(5), 2)
-        assert part.a_mask.tolist() == [True] * 5
+        a_mask = partition_by_in_degree(gen_complete_digraph(5), 2)
+        assert a_mask.tolist() == [True] * 5
 
     def test_non_regular_rejected(self):
         with pytest.raises(ValueError):
@@ -45,26 +44,26 @@ class TestPartition:
             [(0, 1), (0, 2), (1, 2), (1, 3), (2, 1), (2, 3),
              (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2)],
         )
-        part = partition_by_in_degree(g, 1)
+        a_mask = partition_by_in_degree(g, 1)
         in_deg = g.in_degrees
         for v in range(6):
-            assert part.a_mask[v] == (in_deg[v] >= 2)
+            assert a_mask[v] == (in_deg[v] >= 2)
 
     @given(out_regular_digraphs(max_ell=4, max_n=50))
     @settings(max_examples=50)
     def test_a_class_never_empty_on_regular_input(self, g_ell):
         # Total in-degree equals 2l*n, so some vertex reaches the threshold.
         g, ell = g_ell
-        part = partition_by_in_degree(g, ell)
-        assert part.a_mask.shape == (g.n,)
-        assert part.a_mask.any()
+        a_mask = partition_by_in_degree(g, ell)
+        assert a_mask.shape == (g.n,)
+        assert a_mask.any()
 
 
 class TestScoreRoots:
     def test_k5(self):
         g = gen_complete_digraph(5)
-        part = partition_by_in_degree(g, 2)
-        scores = score_roots(g, part, 2)
+        a_mask = partition_by_in_degree(g, 2)
+        scores = score_roots(g, a_mask, 2)
         assert len(scores) == 5
         for entry in scores:
             assert entry.a_x == 4
@@ -76,32 +75,32 @@ class TestScoreRoots:
         edges = [(b, 0) for b in (1, 2, 3)]
         edges += [(f, b) for b in (1, 2, 3) for f in range(4, 9)]
         g = Digraph.from_edges(9, edges)
-        part = manual_partition(9, 3, {0})
-        scores = score_roots(g, part, 3)
+        a_mask = manual_partition(9, {0})
+        scores = score_roots(g, a_mask, 3)
         assert scores[0] == RootScore(x=0, a_x=0, vb_x=15, score=15)
 
     def test_score_zero(self):
         g = Digraph.from_edges(3, [(1, 0), (2, 0)])
-        part = manual_partition(3, 1, {0})
-        scores = score_roots(g, part, 1)
+        a_mask = manual_partition(3, {0})
+        scores = score_roots(g, a_mask, 1)
         assert scores[0] == RootScore(x=0, a_x=0, vb_x=0, score=0)
 
     def test_antiparallel_middle_correction(self):
         # v -> b -> x plus both b -> x and x -> b present: x itself must not
         # be counted as a first vertex.
         g = Digraph.from_edges(3, [(1, 2), (0, 2), (2, 0)])
-        part = manual_partition(3, 1, {0})
-        scores = score_roots(g, part, 1)
+        a_mask = manual_partition(3, {0})
+        scores = score_roots(g, a_mask, 1)
         assert scores[0].vb_x == 1
 
     @given(out_regular_digraphs(max_ell=3, max_n=20))
     @settings(max_examples=40)
     def test_matches_bruteforce(self, g_ell):
         g, ell = g_ell
-        part = partition_by_in_degree(g, ell)
-        scores = score_roots(g, part, ell)
-        a_set = vertex_set(part.a_mask)
-        b_set = vertex_set(~part.a_mask)
+        a_mask = partition_by_in_degree(g, ell)
+        scores = score_roots(g, a_mask, ell)
+        a_set = vertex_set(a_mask)
+        b_set = vertex_set(~a_mask)
         for entry in scores:
             assert entry.a_x == brute_a_count(g, entry.x, a_set)
             assert entry.vb_x == brute_vb_count(g, entry.x, b_set)
@@ -122,13 +121,12 @@ class TestScoreRoots:
             while dst[v, 1] in (v, dst[v, 0]):
                 dst[v, 1] = rng.integers(n)
         g = Digraph.from_edge_arrays(n, src.ravel(), dst.ravel())
-        part = partition_by_in_degree(g, ell)
-        scores = score_roots(g, part, ell)
+        a_mask = partition_by_in_degree(g, ell)
+        scores = score_roots(g, a_mask, ell)
 
         in_nbrs = {v: set() for v in range(n)}
         for u, v in g.edges():
             in_nbrs[v].add(u)
-        a_mask = part.a_mask
         xs = np.flatnonzero(a_mask).tolist()
         want_a = [sum(1 for u in in_nbrs[x] if a_mask[u]) for x in xs]
         want_vb = [
@@ -150,8 +148,8 @@ class TestScoreRoots:
 class TestSelectRoot:
     def test_k5_tiebreak_zero(self):
         g = gen_complete_digraph(5)
-        part = partition_by_in_degree(g, 2)
-        winner = select_root(score_roots(g, part, 2))
+        a_mask = partition_by_in_degree(g, 2)
+        winner = select_root(score_roots(g, a_mask, 2))
         assert winner.x == 0
         assert winner.score == 16
 
@@ -176,8 +174,8 @@ class TestSelectRoot:
     @settings(max_examples=60)
     def test_averaging_bound_holds_on_regular_inputs(self, g_ell):
         g, ell = g_ell
-        part = partition_by_in_degree(g, ell)
-        winner = select_root(score_roots(g, part, ell))
+        a_mask = partition_by_in_degree(g, ell)
+        winner = select_root(score_roots(g, a_mask, ell))
         d = 2 * ell
         assert winner.score >= d * d - d
 
@@ -185,16 +183,17 @@ class TestSelectRoot:
 class TestQPaths:
     def test_k5_empty_vacuous(self):
         g = gen_complete_digraph(5)
-        part = partition_by_in_degree(g, 2)
-        pool = strong_extender_pool(g, 0, 2, part.a_mask)
-        q = compute_q_paths(g, 0, part, pool)
+        a_mask = partition_by_in_degree(g, 2)
+        pool = strong_extender_pool(g, 0, 2, a_mask)
+        q = compute_q_paths(g, 0, a_mask, pool)
         assert len(q) == 0
 
     def test_no_exclusions_keeps_all_vb_paths(self):
         g = Digraph.from_edges(4, [(1, 2), (3, 2), (2, 0)])
-        part = manual_partition(4, 1, {0})
-        pool = ExtenderPool(r=0, a_r=frozenset(), c_r=frozenset(), ell=1)
-        q = compute_q_paths(g, 0, part, pool)
+        a_mask = manual_partition(4, {0})
+        none = np.empty(0, dtype=np.int64)
+        pool = ExtenderPool(a_r=none, c_r=none)
+        q = compute_q_paths(g, 0, a_mask, pool)
         assert q.r == 0
         assert set(zip(q.first.tolist(), q.middle.tolist())) == {(1, 2), (3, 2)}
 
@@ -202,18 +201,18 @@ class TestQPaths:
     @settings(max_examples=40)
     def test_paths_validate_and_bound_holds(self, g_ell):
         g, ell = g_ell
-        part = partition_by_in_degree(g, ell)
-        r = int(select_root(score_roots(g, part, ell)).x)
-        pool = strong_extender_pool(g, r, ell, part.a_mask)
-        q = compute_q_paths(g, r, part, pool)
-        excluded = pool.a_r | pool.c_r
+        a_mask = partition_by_in_degree(g, ell)
+        r = int(select_root(score_roots(g, a_mask, ell)).x)
+        pool = strong_extender_pool(g, r, ell, a_mask)
+        q = compute_q_paths(g, r, a_mask, pool)
+        excluded = set(pool.a_r.tolist()) | set(pool.c_r.tolist())
         edges = set(g.edges())
         assert q.r == r
         for first, middle in zip(q.first.tolist(), q.middle.tolist()):
             assert first not in (r, middle)
             assert (first, middle) in edges
             assert (middle, r) in edges
-            assert not part.a_mask[middle]
+            assert not a_mask[middle]
             assert first not in excluded and middle not in excluded
         d = 2 * ell
         bound = d * d - d - (len(pool.a_r) + len(pool.c_r)) * (4 * ell - 1)
@@ -225,15 +224,15 @@ class TestQPaths:
         # Strong extenders touch a bounded number of the 2-paths into r:
         # at most 2l-1 for a_r members, at most 4l-1 for c_r members.
         g, ell = g_ell
-        part = partition_by_in_degree(g, ell)
-        r = int(select_root(score_roots(g, part, ell)).x)
-        pool = strong_extender_pool(g, r, ell, part.a_mask)
+        a_mask = partition_by_in_degree(g, ell)
+        r = int(select_root(score_roots(g, a_mask, ell)).x)
+        pool = strong_extender_pool(g, r, ell, a_mask)
         vb_paths = [
-            (v, b) for v, b in brute_two_paths_to(g, r) if not part.a_mask[b]
+            (v, b) for v, b in brute_two_paths_to(g, r) if not a_mask[b]
         ]
-        for x in pool.a_r:
+        for x in pool.a_r.tolist():
             touched = sum(1 for v, b in vb_paths if x in (v, b))
             assert touched <= 2 * ell - 1
-        for x in pool.c_r:
+        for x in pool.c_r.tolist():
             touched = sum(1 for v, b in vb_paths if x in (v, b))
             assert touched <= 4 * ell - 1

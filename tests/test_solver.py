@@ -7,7 +7,6 @@ from hypothesis import given, settings
 
 import spiderfind.solver as solver
 from spiderfind import (
-    ABPartition,
     Digraph,
     EmptyA,
     InternalInvariantError,
@@ -205,8 +204,8 @@ def _low_score(select_root, ell):
 
 
 def _short_q(compute_q_paths, ell):
-    def stage(g, r, part, pool):
-        q = compute_q_paths(g, r, part, pool)
+    def stage(g, r, a_mask, pool):
+        q = compute_q_paths(g, r, a_mask, pool)
         d = 2 * ell
         keep = d * d - d - (len(pool.a_r) + len(pool.c_r)) * (4 * ell - 1) - 1
         assert keep >= 0
@@ -278,7 +277,7 @@ class TestOneEnforcementPoint:
         monkeypatch.setattr(
             solver,
             "partition_by_in_degree",
-            lambda g, ell: ABPartition(ell=ell, a_mask=np.zeros(g.n, dtype=bool)),
+            lambda g, ell: np.zeros(g.n, dtype=bool),
         )
         with pytest.raises(EmptyA):
             find_spider(gen_complete_digraph(5), 2, mode=mode)
@@ -289,7 +288,7 @@ class TestOneEnforcementPoint:
         monkeypatch.setattr(
             solver,
             "compute_q_paths",
-            lambda g, r, part, pool: QPaths(
+            lambda g, r, a_mask, pool: QPaths(
                 np.array([r, 2]), np.array([1, 3]), r, g.n
             ),
         )

@@ -36,6 +36,13 @@ class TestVerify:
         # The reversed leg does not exist in the cycle orientation.
         assert verify_spider(TRIANGLE, Spider(0, ((2, 1),)), 1) is not None
 
+    @pytest.mark.parametrize("ell", [0, -1])
+    def test_ell_below_one_rejected(self, ell):
+        # A bare root used to pass as a "(2,0)-spider" and -1 legs as a
+        # wrong leg count; l < 1 names no spider at all.
+        with pytest.raises(ValueError, match="^ell must be >= 1$"):
+            verify_spider(TRIANGLE, Spider(99), ell)
+
     def test_wrong_leg_count(self):
         g = gen_complete_digraph(5)
         report = verify_spider(g, Spider(0, ((1, 2),)), 2)
@@ -85,7 +92,8 @@ class TestVerify:
 
     @given(digraphs(max_n=5), st.data())
     def test_verifier_total_on_arbitrary_certificates(self, g, data):
-        # Any (root, legs) input yields ok or a report, never an exception.
+        # Any (root, legs) input yields ok or a report, never an exception,
+        # for every l >= 1; l = 0 is rejected whatever the certificate.
         root = data.draw(st.integers(-1, g.n))
         legs = data.draw(
             st.lists(
@@ -94,6 +102,10 @@ class TestVerify:
             )
         )
         ell = data.draw(st.integers(0, 4))
+        if ell == 0:
+            with pytest.raises(ValueError, match="ell must be >= 1"):
+                verify_spider(g, Spider(root, tuple(legs)), ell)
+            return
         report = verify_spider(g, Spider(root, tuple(legs)), ell)
         if report is None:
             assert len(legs) == ell
