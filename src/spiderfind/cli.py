@@ -22,7 +22,6 @@ from .digraph import (
 )
 from .errors import (
     EdgeListError,
-    InstanceTooLarge,
     InternalInvariantError,
     PreconditionOutDegree,
     SpiderFormatError,
@@ -131,8 +130,6 @@ def _cmd_generate(args) -> int:
     if args.kind == "complete":
         g = gen_complete_digraph(args.n)
     elif args.kind == "random-out-regular":
-        if args.d is None:
-            raise _UsageError("random-out-regular requires --d")
         g = gen_random_out_regular(args.n, args.d, args.seed)
     else:
         g = gen_regular_tournament(args.n, args.seed)
@@ -239,9 +236,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (EdgeListError, SpiderFormatError) as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
-    except InstanceTooLarge as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return EXIT_USAGE
     except InternalInvariantError as exc:
         sys.stderr.write(f"internal invariant violation: {exc}\n")
         return EXIT_INTERNAL

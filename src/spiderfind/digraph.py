@@ -3,12 +3,13 @@
 A Digraph is an immutable simple directed graph (antiparallel pairs allowed,
 no loops, no duplicate edges) over dense 0-based vertex ids.  Out-adjacency
 is the only stored adjacency, CSR-style in two numpy arrays.  In-degrees and
-the per-edge source array are derived lazily and cached; in-neighbors of a
-few vertices come from one pass over the edges (`in_neighbor_map`).
+the per-edge source array are derived lazily and cached.  The one
+in-adjacency query, `two_paths_into(r)`, returns N^-(r) and every 2-path
+into r from a scan of the edges.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -53,9 +54,7 @@ class Digraph:
     # ---- construction ----------------------------------------------------
 
     @classmethod
-    def from_edges(
-        cls, n: int, edges: Iterable[tuple[int, int]], validate: bool = True
-    ) -> "Digraph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Digraph":
         """Build from an edge sequence, keeping per-source edge order."""
         pairs = list(edges)
         if pairs:
@@ -64,7 +63,7 @@ class Digraph:
         else:
             src = np.empty(0, dtype=np.int64)
             dst = np.empty(0, dtype=np.int64)
-        return cls.from_edge_arrays(n, src, dst, validate=validate)
+        return cls.from_edge_arrays(n, src, dst)
 
     @classmethod
     def from_edge_arrays(
@@ -126,25 +125,20 @@ class Digraph:
     def out_neighbors(self, v: int) -> np.ndarray:
         return self._indices[self._indptr[v] : self._indptr[v + 1]]
 
-    def in_neighbor_map(self, targets: Sequence[int]) -> dict[int, np.ndarray]:
-        """Ascending in-neighbor arrays of a few vertices, in one edge pass.
+    def two_paths_into(
+        self, r: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """N^-(r) as a boolean mask, and every 2-path leaf -> mid -> r.
 
-        The graph stores no in-adjacency; its callers (extender
-        classification, greedy extension) need only a handful of vertices.
+        `leaf` and `mid` list the paths with leaf != r in out-adjacency
+        order of their first edge leaf -> mid.
         """
-        targets = list(dict.fromkeys(int(t) for t in targets))
-        mask = np.zeros(self.n, dtype=bool)
-        mask[targets] = True
-        sel = mask[self._indices]
-        hit_dst = self._indices[sel]
-        hit_src = self.edge_src[sel]
-        order = np.argsort(hit_dst, kind="stable")
-        hit_dst = hit_dst[order]
-        hit_src = hit_src[order]
-        keys = np.asarray(targets, dtype=np.int32)
-        bounds = np.searchsorted(hit_dst, keys)
-        ends = np.searchsorted(hit_dst, keys, side="right")
-        return {t: hit_src[b:e] for t, b, e in zip(targets, bounds, ends)}
+        src = self.edge_src
+        dst = self._indices
+        in_r = np.zeros(self.n, dtype=bool)
+        in_r[src[dst == r]] = True
+        sel = np.flatnonzero(in_r[dst] & (src != r))
+        return in_r, src[sel], dst[sel]
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):

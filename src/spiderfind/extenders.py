@@ -2,10 +2,11 @@
 
 For a root r and a vertex x != r, the extension set O(x, r) collects every
 vertex y that closes a simple 2-path with x ending at r, in either
-orientation: x -> y -> r or y -> x -> r.  A vertex with |O(x, r)| >= i is an
-i-extender for r; a (2l-1)-extender is called strong.  Strong extenders can
-always be attached to a growing spider greedily, which is what
-`greedy_extend` does.
+orientation: x -> y -> r or y -> x -> r.  Both come from the 2-paths
+leaf -> mid -> r into r: each puts mid in O(leaf, r) and leaf in O(mid, r).
+A vertex with |O(x, r)| >= i is an i-extender for r; a (2l-1)-extender is
+called strong.  Strong extenders can always be attached to a growing spider
+greedily, which is what `greedy_extend` does.
 """
 from __future__ import annotations
 
@@ -37,17 +38,20 @@ class ExtenderPool:
     c_r: np.ndarray
 
 
-def _extension_set(
-    g: Digraph, x: int, r: int, in_r_mask: np.ndarray, in_x: np.ndarray
+def _extension_keys(
+    n: int, leaf: np.ndarray, mid: np.ndarray, xs: np.ndarray
 ) -> np.ndarray:
-    """O(x, r) in ascending order.
+    """O(x, r) for every x in `xs`, as ascending keys x*n + y.
 
-    O(x, r) = (N^+(x) & N^-(r)) | (N^-(x) \\ {r} when x -> r), where
-    `in_r_mask` marks N^-(r) and `in_x` is N^-(x).
+    `leaf` and `mid` are the 2-paths leaf -> mid -> r with leaf != r.
     """
-    row = g.out_neighbors(x)
-    incoming = in_x[in_x != r] if in_r_mask[x] else in_x[:0]
-    return np.union1d(row[in_r_mask[row]], incoming)
+    want = np.zeros(n, dtype=bool)
+    want[xs] = True
+    fwd = want[leaf]
+    bwd = want[mid]
+    keys = np.concatenate((leaf[fwd], mid[bwd])).astype(np.int64) * n
+    keys += np.concatenate((mid[fwd], leaf[bwd]))
+    return np.unique(keys)
 
 
 def strong_extender_pool(
@@ -62,26 +66,20 @@ def strong_extender_pool(
     n = g.n
     thr = 2 * ell - 1
     r = int(r)
-    src = g.edge_src
-    dst = g.edge_dst
-
-    in_r_vertices = src[dst == r]
-    in_r_mask = np.zeros(n, dtype=bool)
-    in_r_mask[in_r_vertices] = True
+    in_r, leaf, mid = g.two_paths_into(r)
+    in_r_vertices = np.flatnonzero(in_r)
     a_r = in_r_vertices[a_mask[in_r_vertices]]
 
-    # First-clause count |N^+(x) & N^-(r)| for every x in one pass.
-    count1 = np.bincount(src[in_r_mask[dst]], minlength=n)
+    # First-clause count |N^+(x) & N^-(r)| for every x.
+    count1 = np.bincount(leaf, minlength=n)
     strong_mask = count1 >= thr
 
     # In-neighbors of r outside a_r may still be strong through the second
     # clause; take the exact size of O(x, r) just for the unresolved ones.
     cand = in_r_vertices[~a_mask[in_r_vertices]]
-    cand = cand[count1[cand] < thr].tolist()
-    in_map = g.in_neighbor_map(cand)
-    for x in cand:
-        if _extension_set(g, x, r, in_r_mask, in_map[x]).shape[0] >= thr:
-            strong_mask[x] = True
+    cand = cand[count1[cand] < thr]
+    sizes = np.bincount(_extension_keys(n, leaf, mid, cand) // n, minlength=n)
+    strong_mask[cand[sizes[cand] >= thr]] = True
 
     strong_mask[r] = False
     strong_mask[a_r] = False
@@ -112,18 +110,21 @@ def greedy_extend(
     if not f_list:
         return base
 
-    in_map = g.in_neighbor_map([r, *f_list])
-    in_r_mask = np.zeros(g.n, dtype=bool)
-    in_r_mask[in_map[r]] = True
+    n = g.n
+    in_r, leaf, mid = g.two_paths_into(r)
+    xs = np.asarray(f_list, dtype=np.int64)
+    keys = _extension_keys(n, leaf, mid, xs)
+    bounds = np.searchsorted(keys, xs * n).tolist()
+    ends = np.searchsorted(keys, xs * n + n).tolist()
     legs = list(base.legs)
     blocked = spider_verts | set(f_list)
-    for x in f_list:
+    for x, b, e in zip(f_list, bounds, ends):
         blocked.discard(x)
-        ext = _extension_set(g, x, r, in_r_mask, in_map[x]).tolist()
+        ext = (keys[b:e] - x * n).tolist()
         y = next((v for v in ext if v not in blocked), None)
         if y is None:
             raise ExtensionExhausted(x)
-        legs.append((x, y) if in_r_mask[y] and g.has_edge(x, y) else (y, x))
+        legs.append((x, y) if in_r[y] and g.has_edge(x, y) else (y, x))
         blocked.add(x)
         blocked.add(y)
     return Spider(root=r, legs=tuple(legs))

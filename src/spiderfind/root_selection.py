@@ -153,16 +153,9 @@ def compute_q_paths(
     """
     n = g.n
     r = int(r)
-    src = g.edge_src
-    dst = g.edge_dst
-
+    _, leaf, mid = g.two_paths_into(r)
     excluded = np.zeros(n, dtype=bool)
     excluded[pool.a_r] = True
     excluded[pool.c_r] = True
-
-    in_r_mask = np.zeros(n, dtype=bool)
-    in_r_mask[src[dst == r]] = True
-    mid_ok = in_r_mask & ~a_mask & ~excluded
-    sel = mid_ok[dst] & (src != r) & ~excluded[src]
-
-    return QPaths(first=src[sel], middle=dst[sel], r=r, n=n)
+    keep = ~(a_mask[mid] | excluded[mid] | excluded[leaf])
+    return QPaths(first=leaf[keep], middle=mid[keep], r=r, n=n)

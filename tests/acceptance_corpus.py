@@ -4,10 +4,17 @@ Criterion 1 solves the whole corpus in checked mode, criterion 3 inspects
 the recorded inequality checks from the same runs, and criterion 7 repeats
 the corpus with identical seeds and compares result fingerprints, so the
 corpus lives in one module and the first run is cached.
+
+Run as a script, it solves the whole corpus and prints one JSON line per
+spec (spec, verdict, check names, failed checks, digest, error), so two
+source trees compare with a plain `diff`:
+
+    PYTHONPATH=src python tests/acceptance_corpus.py > corpus.jsonl
 """
 from __future__ import annotations
 
 import hashlib
+import json
 import multiprocessing as mp
 import os
 import time
@@ -98,3 +105,8 @@ def corpus_results(pass_name: str = "first") -> tuple[list, float]:
         results = _run_all(specs)
         _cache[pass_name] = (results, time.perf_counter() - t0)
     return _cache[pass_name]
+
+
+if __name__ == "__main__":
+    for res in _run_all(corpus_specs()):
+        print(json.dumps(res))

@@ -32,6 +32,27 @@ def brute_extension_set(g: Digraph, x: int, r: int) -> set[int]:
     return out
 
 
+def brute_greedy_extend(g: Digraph, r: int, base, f_seq) -> list | None:
+    """Legs of the documented greedy extension, or None where it exhausts.
+
+    Each x in f_seq takes the smallest member of O(x, r) outside the spider
+    and the unprocessed tail of f_seq, as the leg x -> y -> r when that path
+    exists, else y -> x -> r.
+    """
+    edges = edge_set(g)
+    legs = list(base.legs)
+    blocked = base.vertices() | set(f_seq)
+    for x in f_seq:
+        blocked.discard(x)
+        free = sorted(brute_extension_set(g, x, r) - blocked)
+        if not free:
+            return None
+        y = free[0]
+        legs.append((x, y) if (x, y) in edges and (y, r) in edges else (y, x))
+        blocked |= {x, y}
+    return legs
+
+
 def brute_two_paths_to(g: Digraph, r: int) -> list[tuple[int, int]]:
     """All simple 2-paths (v, b) with v -> b -> r."""
     edges = edge_set(g)

@@ -210,6 +210,7 @@ class TestOracle:
             capsys, monkeypatch, ["oracle", "--ell", "2"], stdin=graph_text
         )
         assert code == 64
+        assert err.startswith("usage error: graph has 18 vertices")
 
     def test_ell_zero_is_usage_error(self, capsys, monkeypatch):
         graph_text = write_edge_list(gen_complete_digraph(3))
@@ -410,6 +411,14 @@ class TestUsage:
     def test_missing_required(self, capsys, monkeypatch):
         code, _, _ = run(capsys, monkeypatch, ["solve"])
         assert code == 64
+
+    def test_generate_random_requires_d(self, capsys, monkeypatch):
+        code, out, err = run(
+            capsys, monkeypatch, ["generate", "random-out-regular", "--n", "5"]
+        )
+        assert code == 64
+        assert out == ""
+        assert "the following arguments are required: --d" in err
 
     def test_search_requires_d_for_random(self, capsys, monkeypatch):
         code, _, err = run(

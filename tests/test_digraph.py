@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -16,15 +17,23 @@ from spiderfind import (
     parse_edge_list,
     write_edge_list,
 )
-from reference import brute_in_neighbors
+from reference import brute_in_neighbors, brute_two_paths_to
 from strategies import digraphs
 
 
+def assert_two_paths_into(g: Digraph, r: int) -> None:
+    """two_paths_into(r) agrees with edge scans, paths in edge order."""
+    in_r, leaf, mid = g.two_paths_into(r)
+    assert np.flatnonzero(in_r).tolist() == brute_in_neighbors(g, r)
+    paths = list(zip(leaf.tolist(), mid.tolist()))
+    expected = set(brute_two_paths_to(g, r))
+    assert paths == [e for e in g.edges() if e in expected]
+
+
 def assert_mirror_consistent(g: Digraph) -> None:
-    """in_neighbor_map agrees with an edge scan at every vertex."""
-    in_map = g.in_neighbor_map(range(g.n))
+    """two_paths_into agrees with edge scans at every vertex."""
     for v in range(g.n):
-        assert in_map[v].tolist() == brute_in_neighbors(g, v)
+        assert_two_paths_into(g, v)
     assert g.m == len(set(g.edges()))
 
 
@@ -257,13 +266,7 @@ class TestDegrees:
         assert int(g.in_degrees.sum()) == g.m
 
 
-class TestInNeighborMap:
+class TestTwoPathsInto:
     @given(digraphs(), st.data())
-    def test_matches_in_neighbors(self, g, data):
-        targets = data.draw(
-            st.lists(st.integers(0, g.n - 1), max_size=4, unique=True)
-        )
-        got = g.in_neighbor_map(targets)
-        assert list(got) == targets
-        for t in targets:
-            assert got[t].tolist() == brute_in_neighbors(g, t)
+    def test_matches_bruteforce(self, g, data):
+        assert_two_paths_into(g, data.draw(st.integers(0, g.n - 1)))

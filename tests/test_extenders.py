@@ -13,7 +13,7 @@ from spiderfind import (
     strong_extender_pool,
     verify_spider,
 )
-from reference import brute_extension_set
+from reference import brute_extension_set, brute_greedy_extend
 from strategies import digraphs, out_regular_digraphs
 
 # Edges 1->2, 2->0, 3->1, 1->0: vertex 2 reaches 0 through 1->2->0 and
@@ -218,3 +218,41 @@ class TestGreedyExtend:
         f_seq = data.draw(st.permutations(eligible))[:f]
         out = greedy_extend(g, r, base, f_seq)
         assert verify_spider(g, out, s + f) is None
+
+    @given(
+        st.one_of(
+            digraphs(min_n=4, max_n=11),
+            out_regular_digraphs(max_ell=3, max_n=14).map(lambda t: t[0]),
+        ),
+        st.data(),
+    )
+    @settings(max_examples=120)
+    def test_matches_bruteforce_leg_for_leg(self, g, data):
+        # The attachment vertex and the orientation of every leg follow the
+        # documented rule exactly, whether or not extension exhausts.  The
+        # out-regular graphs and the preference for extenders that meet the
+        # counting requirement keep completed, multi-leg runs among the
+        # examples, not only early exhaustion.
+        from spiderfind import max_spider_at_root
+
+        r = data.draw(st.integers(0, g.n - 1))
+        s_max, base_full = max_spider_at_root(g, r)
+        s = data.draw(st.integers(0, s_max))
+        base = Spider(r, base_full.legs[:s])
+        taken = base.vertices()
+        outside = [x for x in range(g.n) if x not in taken]
+        if not outside:
+            return
+        f = data.draw(st.integers(1, min(3, len(outside))))
+        need = 2 * f + 2 * s - 1
+        eligible = [
+            x for x in outside if len(brute_extension_set(g, x, r)) >= need
+        ]
+        choices = eligible if len(eligible) >= f else outside
+        f_seq = data.draw(st.permutations(choices))[:f]
+        expected = brute_greedy_extend(g, r, base, f_seq)
+        if expected is None:
+            with pytest.raises(ExtensionExhausted):
+                greedy_extend(g, r, base, f_seq)
+        else:
+            assert list(greedy_extend(g, r, base, f_seq).legs) == expected
