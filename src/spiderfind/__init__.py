@@ -69,7 +69,6 @@ from .spider import (
     ViolationReport,
     format_spider,
     parse_spider,
-    spider_order,
     verify_spider,
 )
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .digraph import _sorted_distinct
 from .errors import InternalInvariantError
 from .root_selection import QPaths
 
@@ -319,7 +320,7 @@ def _check_proper(eu, ev, col, palette):
         raise InternalInvariantError("an edge was colored outside the palette")
     ends = np.concatenate([np.asarray(eu, np.int64), np.asarray(ev, np.int64)])
     keys = ends * palette + np.concatenate([colors, colors])
-    if np.unique(keys).shape[0] != keys.shape[0]:
+    if _sorted_distinct(keys).size != keys.size:
         raise InternalInvariantError("incident edges share a color")
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .digraph import Digraph
+from .digraph import Digraph, _sorted_distinct
 from .errors import ExtensionExhausted
 from .spider import Spider
 
@@ -51,7 +51,7 @@ def _extension_keys(
     bwd = want[mid]
     keys = np.concatenate((leaf[fwd], mid[bwd])).astype(np.int64) * n
     keys += np.concatenate((mid[fwd], leaf[bwd]))
-    return np.unique(keys)
+    return _sorted_distinct(keys)
 
 
 def strong_extender_pool(

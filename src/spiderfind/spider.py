@@ -19,7 +19,6 @@ __all__ = [
     "ViolationKind",
     "ViolationReport",
     "verify_spider",
-    "spider_order",
     "format_spider",
     "parse_spider",
 ]
@@ -103,11 +102,6 @@ def verify_spider(g: Digraph, s: Spider, ell: int) -> Optional[ViolationReport]:
                 message=f"edge {mid} -> {s.root} not in graph",
             )
     return None
-
-
-def spider_order(s: Spider) -> int:
-    """Number of vertices: root plus two per leg."""
-    return 2 * len(s.legs) + 1
 
 
 def format_spider(s: Spider) -> str:

@@ -115,3 +115,10 @@ def check_proper_coloring(edges: list[tuple[int, int]], colors: list[int]) -> bo
                 return False
             bucket.add(c)
     return True
+
+
+def reference_write_edge_list(g: Digraph) -> str:
+    """Edge-list text built with one f-string per edge, in edge order."""
+    out = [f"{g.n} {g.m}"]
+    out.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(out) + "\n"

@@ -50,6 +50,13 @@ class TestGenerate:
         assert code == 64
         assert "usage error" in err
 
+    def test_vertex_count_beyond_int32_ids_is_usage_error(self, capsys, monkeypatch):
+        # The generator refuses before it allocates anything.
+        argv = ["generate", "random-out-regular", "--n", "2147483649", "--d", "1"]
+        code, out, err = run(capsys, monkeypatch, argv)
+        assert code == 64 and out == ""
+        assert err == "usage error: vertex count 2147483649 exceeds the int32 id range\n"
+
     def test_output_file(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "g.txt"
         code, out, _ = run(

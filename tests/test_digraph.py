@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spiderfind import (
@@ -17,8 +17,105 @@ from spiderfind import (
     parse_edge_list,
     write_edge_list,
 )
-from reference import brute_in_neighbors, brute_two_paths_to
+from reference import (
+    brute_in_neighbors,
+    brute_two_paths_to,
+    reference_write_edge_list,
+)
+from spiderfind.digraph import _parse_lines
 from strategies import digraphs
+
+# Vertex counts where the widest id gains a digit, and a few between.
+_DIGIT_BOUNDARY_NS = [1, 9, 10, 11, 100, 101, 1000, 1001, 100_000, 100_001]
+
+
+@st.composite
+def text_graphs(draw, max_n: int = 100_001):
+    """Graphs with no edges, a few edges anywhere, or d out-edges each."""
+    n = draw(
+        st.sampled_from([k for k in _DIGIT_BOUNDARY_NS if k <= max_n])
+        | st.integers(1, max_n)
+    )
+    kind = draw(st.sampled_from(["empty", "sparse", "regular"]))
+    if kind == "regular" and n <= 2000:
+        d = draw(st.integers(0, min(n - 1, 6)))
+        return gen_random_out_regular(n, d, draw(st.integers(0, 2**31 - 1)))
+    if kind == "empty" or n == 1:
+        return Digraph.from_edges(n, [])
+    ids = st.integers(0, n - 1)
+    pairs = draw(
+        st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]),
+                 max_size=12, unique=True)
+    )
+    return Digraph.from_edges(n, pairs)
+
+
+def _mutate(text: str, kind: str, data) -> str:
+    """One edit of canonical edge-list text; `data` draws where it lands.
+
+    Edits of an edge line leave text without edges unchanged.
+    """
+    lines = text.split("\n")[:-1]
+    n, m = map(int, lines[0].split())
+    i = data.draw(st.integers(0, m), label="line")
+    j = data.draw(st.integers(1, m), label="edge") if m else None
+    u, _, v = lines[i].partition(" ")
+    if kind == "comment":
+        lines.insert(i, "# comment")
+    elif kind == "blank":
+        lines.insert(i, "")
+    elif kind == "crlf":
+        lines[i] += "\r"
+    elif kind == "tab":
+        lines[i] = f"{u}\t{v}"
+    elif kind == "double_space":
+        lines[i] = f"{u}  {v}"
+    elif kind == "leading_zero":
+        lines[i] = f"0{u} {v}"
+    elif kind == "missing_token":
+        lines[i] = f"{u} "
+    elif kind == "eleven_digits":
+        lines[i] = f"{u} {v.zfill(11)}"
+    elif kind == "no_final_newline":
+        return "\n".join(lines)
+    elif kind == "huge_header":
+        lines[0] = f"{2**31 + 1} {m}"
+    elif kind == "edge_too_few":
+        lines[0] = f"{n} {m + 1}"
+    elif j is None:
+        pass
+    elif kind == "edge_too_many":
+        lines[0] = f"{n} {m - 1}"
+    elif kind == "duplicate_edge":
+        lines.insert(j, lines[j])
+        lines[0] = f"{n} {m + 1}"
+    elif kind == "self_loop":
+        src = lines[j].split()[0]
+        lines[j] = f"{src} {src}"
+    elif kind == "out_of_range":
+        src = lines[j].split()[0]
+        lines[j] = f"{src} {n + data.draw(st.integers(0, 3), label='excess')}"
+    return "\n".join(lines) + "\n"
+
+
+_MUTATIONS = [
+    "none", "comment", "blank", "crlf", "tab", "double_space",
+    "leading_zero", "missing_token", "eleven_digits", "no_final_newline",
+    "huge_header", "edge_too_few", "edge_too_many", "duplicate_edge",
+    "self_loop", "out_of_range",
+]
+
+
+def _parse_outcome(parse, text: str):
+    try:
+        return parse(text)
+    except EdgeListError as exc:
+        return (exc.line, str(exc))
+
+
+def out_rows(g: Digraph) -> list[np.ndarray]:
+    """Each vertex's out-neighbours, cut from edge_dst by the out-degrees."""
+    return np.split(g.edge_dst, np.cumsum(g.out_degrees)[:-1])
 
 
 def assert_two_paths_into(g: Digraph, r: int) -> None:
@@ -124,6 +221,31 @@ class TestParse:
         assert again == g
 
 
+class TestWrite:
+    @given(text_graphs())
+    def test_matches_reference_writer(self, g):
+        assert write_edge_list(g) == reference_write_edge_list(g)
+
+
+class TestCanonicalParse:
+    @settings(max_examples=300)
+    @given(text_graphs(max_n=200), st.sampled_from(_MUTATIONS), st.data())
+    def test_agrees_with_line_parser(self, g, kind, data):
+        text = _mutate(write_edge_list(g), kind, data)
+        expected = _parse_outcome(_parse_lines, text)
+        assert _parse_outcome(parse_edge_list, text) == expected
+        if kind == "none":
+            assert expected == g
+
+    def test_empty_tokens_are_not_read_as_arrays(self):
+        # One space and one newline per line, and 2 + 2m tokens in all, but
+        # the header line has one token: read as a token stream, this would
+        # be the graph 0 -> 1, 2 -> 0.
+        with pytest.raises(EdgeListError, match="header must be 'n m'") as exc:
+            parse_edge_list("3 \n2 0\n1 2\n 0\n")
+        assert exc.value.line == 1
+
+
 class TestComplete:
     def test_two_vertices(self):
         g = gen_complete_digraph(2)
@@ -169,8 +291,8 @@ class TestRandomOutRegular:
         # Exercise both sampling regimes.
         for n, d in [(200, 3), (30, 20), (12, 10)]:
             g = gen_random_out_regular(n, d, seed=5)
-            for v in range(n):
-                row = g.out_neighbors(v).tolist()
+            for v, row in enumerate(out_rows(g)):
+                row = row.tolist()
                 assert len(row) == d
                 assert len(set(row)) == d
                 assert v not in row
@@ -179,6 +301,19 @@ class TestRandomOutRegular:
     def test_d_too_large(self):
         with pytest.raises(ValueError):
             gen_random_out_regular(3, 3, seed=0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        gen_complete_digraph,
+        lambda n: gen_random_out_regular(n, 1, seed=0),
+        lambda n: gen_regular_tournament(n, seed=0),
+    ],
+)
+def test_generators_reject_vertex_count_beyond_int32_ids(make):
+    with pytest.raises(ValueError, match="exceeds the int32 id range"):
+        make(2**31 + 1)
 
 
 class TestRegularTournament:
@@ -220,9 +355,9 @@ class TestExtract:
         g = gen_complete_digraph(6)
         sub = extract_exact_outdegree_subgraph(g, 4)
         assert sub.m == 24
-        for v in range(6):
+        for v, row in enumerate(out_rows(sub)):
             expected = [u for u in range(6) if u != v][:4]
-            assert sub.out_neighbors(v).tolist() == expected
+            assert row.tolist() == expected
         assert_mirror_consistent(sub)
 
     def test_insufficient(self):
