@@ -5,11 +5,12 @@ no loops, no duplicate edges) over dense 0-based vertex ids.  Out-adjacency
 is the only stored adjacency, CSR-style in two numpy arrays.  In-degrees and
 the per-edge source array are derived lazily and cached.  The one
 in-adjacency query, `two_paths_into(r)`, returns N^-(r) and every 2-path
-into r from a scan of the edges.
+into r from a scan of the edges.  Per-edge values come from the CSR rows
+(`np.repeat(values, out_degrees)`) and from `_gather(values, edge_dst)`.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -37,6 +38,9 @@ _CANONICAL_DIGITS = 10
 # small; denser rows switch to a blocked Fisher-Yates shuffle.
 _FY_BLOCK_CELLS = 4_000_000
 
+# Indices per `_gather` slice, whose intp copy (512 KiB) stays in cache.
+_GATHER_CHUNK = 65_536
+
 
 def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
     """The distinct values of `keys`, ascending; sorts `keys` in place.
@@ -49,6 +53,15 @@ def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     return keys[first]
+
+
+def _gather(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """table[idx] for int32 `idx`, without numpy's whole-array intp cast."""
+    out = np.empty(idx.shape[0], dtype=table.dtype)
+    for lo in range(0, idx.shape[0], _GATHER_CHUNK):
+        hi = lo + _GATHER_CHUNK
+        np.take(table, idx[lo:hi], out=out[lo:hi])
+    return out
 
 
 class Digraph:
@@ -69,18 +82,6 @@ class Digraph:
         self._in_deg = None
 
     # ---- construction ----------------------------------------------------
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Digraph":
-        """Build from an edge sequence, keeping per-source edge order."""
-        pairs = list(edges)
-        if pairs:
-            src = np.asarray([u for u, _ in pairs], dtype=np.int64)
-            dst = np.asarray([v for _, v in pairs], dtype=np.int64)
-        else:
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
-        return cls.from_edge_arrays(n, src, dst)
 
     @classmethod
     def from_edge_arrays(
@@ -150,7 +151,7 @@ class Digraph:
         dst = self._indices
         in_r = np.zeros(self.n, dtype=bool)
         in_r[src[dst == r]] = True
-        sel = np.flatnonzero(in_r[dst] & (src != r))
+        sel = np.flatnonzero(_gather(in_r, dst) & (src != r))
         return in_r, src[sel], dst[sel]
 
     def has_edge(self, u: int, v: int) -> bool:

@@ -118,10 +118,6 @@ def build_extension_graph(q: QPaths) -> ExtensionGraph:
     )
 
 
-def truncation_threshold(ell: int) -> int:
-    return (2 * ell - 1) * (ell - 1) + 1
-
-
 def truncate_for_coloring(h: ExtensionGraph, ell: int) -> ExtensionGraph:
     """Cap the coloring instance at (2l-1)(l-1)+1 edges.
 
@@ -129,7 +125,7 @@ def truncate_for_coloring(h: ExtensionGraph, ell: int) -> ExtensionGraph:
     so dropping the tail edges never loses the spider; the coloring cost
     becomes O(l^2) regardless of input size.
     """
-    cap = truncation_threshold(ell)
+    cap = (2 * ell - 1) * (ell - 1) + 1
     if h.num_edges <= cap:
         return h
     return ExtensionGraph(

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .digraph import Digraph, _sorted_distinct
+from .digraph import _sorted_distinct
 from .errors import ExtensionExhausted
 from .spider import Spider
 
@@ -55,18 +55,18 @@ def _extension_keys(
 
 
 def strong_extender_pool(
-    g: Digraph, r: int, ell: int, a_mask: np.ndarray
+    paths: tuple, r: int, ell: int, a_mask: np.ndarray
 ) -> ExtenderPool:
-    """Classify every (2l-1)-extender for r.
+    """Classify every (2l-1)-extender for r from `Digraph.two_paths_into(r)`.
 
     a_r is N^-(r) intersected with the high-in-degree class `a_mask`, a
     boolean mask over [0, n); each of its members is automatically strong
     (it points at r and has at least 2l-1 in-neighbors besides r).
     """
-    n = g.n
+    in_r, leaf, mid = paths
+    n = in_r.shape[0]
     thr = 2 * ell - 1
     r = int(r)
-    in_r, leaf, mid = g.two_paths_into(r)
     in_r_vertices = np.flatnonzero(in_r)
     a_r = in_r_vertices[a_mask[in_r_vertices]]
 
@@ -87,16 +87,17 @@ def strong_extender_pool(
 
 
 def greedy_extend(
-    g: Digraph, r: int, base: Spider, f_seq: Sequence[int]
+    paths: tuple, r: int, base: Spider, f_seq: Sequence[int]
 ) -> Spider:
     """Attach one leg per f_seq vertex, in order, onto the base spider.
 
-    Each x in f_seq must be a sufficiently large extender for r (position i,
-    1-based, needs |O(x, r)| >= f + 2s + i - 1 where f = len(f_seq) and s is
-    the base leg count); under that precondition an attachment vertex always
-    exists.  The attachment y is the smallest-id member of O(x, r) outside
-    the current spider and the unprocessed tail of f_seq; the leg is
-    oriented x -> y -> r when that path exists, else y -> x -> r.
+    `paths` is `Digraph.two_paths_into(r)`.  Each x in f_seq must be a
+    sufficiently large extender for r (position i, 1-based, needs
+    |O(x, r)| >= f + 2s + i - 1 where f = len(f_seq) and s is the base leg
+    count); under that precondition an attachment vertex always exists.
+    The attachment y is the smallest-id member of O(x, r) outside the
+    current spider and the unprocessed tail of f_seq; the leg is oriented
+    x -> y -> r when that path exists, else y -> x -> r.
     """
     r = int(r)
     if base.root != r:
@@ -110,8 +111,8 @@ def greedy_extend(
     if not f_list:
         return base
 
-    n = g.n
-    in_r, leaf, mid = g.two_paths_into(r)
+    in_r, leaf, mid = paths
+    n = in_r.shape[0]
     xs = np.asarray(f_list, dtype=np.int64)
     keys = _extension_keys(n, leaf, mid, xs)
     bounds = np.searchsorted(keys, xs * n).tolist()
@@ -124,7 +125,7 @@ def greedy_extend(
         y = next((v for v in ext if v not in blocked), None)
         if y is None:
             raise ExtensionExhausted(x)
-        legs.append((x, y) if in_r[y] and g.has_edge(x, y) else (y, x))
+        legs.append((x, y) if y in mid[leaf == x] else (y, x))
         blocked.add(x)
         blocked.add(y)
     return Spider(root=r, legs=tuple(legs))

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .digraph import Digraph
+from .digraph import Digraph, _gather
 from .extenders import ExtenderPool
 
 __all__ = [
@@ -45,7 +45,6 @@ class RootScores(Sequence[RootScore]):
         self.xs = xs
         self.a = a
         self.vb = vb
-        self.ell = ell
         self.score = 2 * ell * a + vb
 
     def __len__(self) -> int:
@@ -102,8 +101,9 @@ def score_roots(g: Digraph, a_mask: np.ndarray, ell: int) -> RootScores:
     dst = g.edge_dst
     in_deg = g.in_degrees
 
-    a_src = a_mask[src]
-    a_dst = a_mask[dst]
+    # Per-edge A membership, from the CSR rows and a chunked gather.
+    a_src = np.repeat(a_mask, g.out_degrees)
+    a_dst = _gather(a_mask, dst)
 
     # a and vb are only reported for the A class, so edges b -> x with x
     # outside A never contribute.  Edge subsets are gathered through
@@ -141,19 +141,16 @@ def select_root(scores: RootScores) -> RootScore:
 
 
 def compute_q_paths(
-    g: Digraph,
-    r: int,
-    a_mask: np.ndarray,
-    pool: ExtenderPool,
+    paths: tuple, r: int, a_mask: np.ndarray, pool: ExtenderPool
 ) -> QPaths:
     """All v -> b -> r with b in B, avoiding r and every strong extender.
 
-    The count is guaranteed to be at least d^2 - d - (a+c)(4l-1), a bound
-    that may be vacuously negative.
+    `paths` is `Digraph.two_paths_into(r)`.  The count is guaranteed to be
+    at least d^2 - d - (a+c)(4l-1), a bound that may be vacuously negative.
     """
-    n = g.n
+    in_r, leaf, mid = paths
+    n = in_r.shape[0]
     r = int(r)
-    _, leaf, mid = g.two_paths_into(r)
     excluded = np.zeros(n, dtype=bool)
     excluded[pool.a_r] = True
     excluded[pool.c_r] = True

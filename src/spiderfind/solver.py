@@ -110,11 +110,13 @@ def find_spider(
     root_score = select_root(scores)
     r = root_score.x
 
-    pool = strong_extender_pool(work, r, ell, a_mask)
+    # Every later stage reads the root through its 2-paths, found once.
+    paths = work.two_paths_into(r)
+    pool = strong_extender_pool(paths, r, ell, a_mask)
     a = len(pool.a_r)
     c = len(pool.c_r)
 
-    q = compute_q_paths(work, r, a_mask, pool)
+    q = compute_q_paths(paths, r, a_mask, pool)
     q_size = len(q)
 
     h = build_extension_graph(q)
@@ -159,7 +161,7 @@ def find_spider(
                 f"need {need} strong extenders, only {len(f_seq)} available"
             )
         base = Spider(root=int(r), legs=base_legs)
-        spider = greedy_extend(work, r, base, f_seq[:need])
+        spider = greedy_extend(paths, r, base, f_seq[:need])
 
     if checked:
         report = verify_spider(g, spider, ell)

@@ -6,7 +6,15 @@ two implementations against each other.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from spiderfind import Digraph
+
+
+def from_pairs(n: int, pairs) -> Digraph:
+    """The digraph on [0, n) with these (u, v) edges, per-source order kept."""
+    src, dst = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
+    return Digraph.from_edge_arrays(n, src, dst)
 
 
 def edge_set(g: Digraph) -> set[tuple[int, int]]:

@@ -3,7 +3,8 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from spiderfind import Digraph, gen_random_out_regular
+from reference import from_pairs
+from spiderfind import gen_random_out_regular
 
 
 @st.composite
@@ -17,7 +18,7 @@ def digraphs(draw, min_n: int = 1, max_n: int = 10):
         )
     else:
         edges = []
-    return Digraph.from_edges(n, edges)
+    return from_pairs(n, edges)
 
 
 @st.composite

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 import acceptance_corpus as corpus
-from reference import brute_max_legs, check_proper_coloring
+from reference import brute_max_legs, check_proper_coloring, from_pairs
 from spiderfind import (
     Digraph,
     find_spider,
@@ -105,7 +105,7 @@ def _random_min_out_digraph(rng, ell: int) -> Digraph:
         vals = rng.permutation(n - 1)[:dv]
         vals = vals + (vals >= v)
         edges.extend((v, int(u)) for u in vals)
-    return Digraph.from_edges(n, edges)
+    return from_pairs(n, edges)
 
 
 def test_criterion_4_oracle_cross_validation():
@@ -131,7 +131,7 @@ def test_criterion_4_oracle_cross_validation():
         n = int(rng.integers(2, 9))
         pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
         keep = rng.random(len(pairs)) < rng.uniform(0.1, 0.9)
-        g = Digraph.from_edges(n, [p for p, k in zip(pairs, keep) if k])
+        g = from_pairs(n, [p for p, k in zip(pairs, keep) if k])
         for r in range(n):
             bnb, _ = max_spider_at_root(g, r)
             naive = brute_max_legs(g, r)

@@ -20,9 +20,10 @@ from spiderfind import (
 from reference import (
     brute_in_neighbors,
     brute_two_paths_to,
+    from_pairs,
     reference_write_edge_list,
 )
-from spiderfind.digraph import _parse_lines
+from spiderfind.digraph import _GATHER_CHUNK, _gather, _parse_lines
 from strategies import digraphs
 
 # Vertex counts where the widest id gains a digit, and a few between.
@@ -41,13 +42,13 @@ def text_graphs(draw, max_n: int = 100_001):
         d = draw(st.integers(0, min(n - 1, 6)))
         return gen_random_out_regular(n, d, draw(st.integers(0, 2**31 - 1)))
     if kind == "empty" or n == 1:
-        return Digraph.from_edges(n, [])
+        return from_pairs(n, [])
     ids = st.integers(0, n - 1)
     pairs = draw(
         st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]),
                  max_size=12, unique=True)
     )
-    return Digraph.from_edges(n, pairs)
+    return from_pairs(n, pairs)
 
 
 def _mutate(text: str, kind: str, data) -> str:
@@ -385,7 +386,7 @@ class TestDegrees:
         assert min_out_degree(gen_complete_digraph(1)) == 0
 
     def test_empty_graph_rejected(self):
-        g = Digraph.from_edges(0, [])
+        g = from_pairs(0, [])
         with pytest.raises(ValueError):
             min_out_degree(g)
 
@@ -405,3 +406,26 @@ class TestTwoPathsInto:
     @given(digraphs(), st.data())
     def test_matches_bruteforce(self, g, data):
         assert_two_paths_into(g, data.draw(st.integers(0, g.n - 1)))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_bruteforce_across_gather_slices(self, seed):
+        g = gen_random_out_regular(5000, 40, seed)
+        assert g.m >= 3 * _GATHER_CHUNK
+        for r in (0, 2500, 4999):
+            assert_two_paths_into(g, r)
+
+
+_C = _GATHER_CHUNK
+
+
+class TestGather:
+    @pytest.mark.parametrize("size", [0, 1, _C - 1, _C, _C + 1, 3 * _C + 7])
+    @pytest.mark.parametrize("dtype", [bool, np.int64])
+    def test_matches_fancy_indexing(self, size, dtype):
+        rng = np.random.default_rng(size)
+        high = 2 if dtype is bool else 2**40
+        table = rng.integers(0, high, size=1000).astype(dtype)
+        idx = rng.integers(0, table.size, size=size, dtype=np.int32)
+        out = _gather(table, idx)
+        assert out.dtype == table.dtype
+        assert np.array_equal(out, table[idx])

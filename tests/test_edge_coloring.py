@@ -196,8 +196,8 @@ class TestPayloadSoundness:
         g, ell = g_ell
         a_mask = partition_by_in_degree(g, ell)
         r = int(select_root(score_roots(g, a_mask, ell)).x)
-        pool = strong_extender_pool(g, r, ell, a_mask)
-        q = compute_q_paths(g, r, a_mask, pool)
+        pool = strong_extender_pool(g.two_paths_into(r), r, ell, a_mask)
+        q = compute_q_paths(g.two_paths_into(r), r, a_mask, pool)
         h = build_extension_graph(q)
         ht = truncate_for_coloring(h, ell)
         col = vizing_color(ht)

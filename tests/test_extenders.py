@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spiderfind import (
-    Digraph,
     ExtensionExhausted,
     Spider,
     gen_complete_digraph,
@@ -13,12 +12,12 @@ from spiderfind import (
     strong_extender_pool,
     verify_spider,
 )
-from reference import brute_extension_set, brute_greedy_extend
+from reference import brute_extension_set, brute_greedy_extend, from_pairs
 from strategies import digraphs, out_regular_digraphs
 
 # Edges 1->2, 2->0, 3->1, 1->0: vertex 2 reaches 0 through 1->2->0 and
 # vertex 3 through 3->1->0.
-CHAIN = Digraph.from_edges(4, [(1, 2), (2, 0), (3, 1), (1, 0)])
+CHAIN = from_pairs(4, [(1, 2), (2, 0), (3, 1), (1, 0)])
 
 
 def no_a(g):
@@ -32,7 +31,7 @@ def assert_pool_shape(pool):
 
 
 def strong_set(g, r, ell, a_mask):
-    pool = strong_extender_pool(g, r, ell, a_mask)
+    pool = strong_extender_pool(g.two_paths_into(r), r, ell, a_mask)
     assert_pool_shape(pool)
     return set(pool.a_r.tolist()) | set(pool.c_r.tolist())
 
@@ -48,7 +47,7 @@ class TestExtensionSet:
         assert brute_extension_set(g, 1, 0) == {2, 3}
 
     def test_single_edge(self):
-        g = Digraph.from_edges(2, [(1, 0)])
+        g = from_pairs(2, [(1, 0)])
         assert brute_extension_set(g, 1, 0) == set()
 
     @given(digraphs(min_n=2, max_n=8), st.integers(1, 3))
@@ -82,19 +81,21 @@ class TestIExtender:
 class TestStrongExtenderPool:
     def test_k5(self):
         g = gen_complete_digraph(5)
-        pool = strong_extender_pool(g, 0, 2, partition_by_in_degree(g, 2))
+        pool = strong_extender_pool(
+            g.two_paths_into(0), 0, 2, partition_by_in_degree(g, 2)
+        )
         assert pool.a_r.tolist() == [1, 2, 3, 4]
         assert pool.c_r.tolist() == []
 
     def test_second_clause_membership(self):
-        g = Digraph.from_edges(3, [(1, 2), (2, 0)])
-        pool = strong_extender_pool(g, 0, 1, no_a(g))
+        g = from_pairs(3, [(1, 2), (2, 0)])
+        pool = strong_extender_pool(g.two_paths_into(0), 0, 1, no_a(g))
         assert pool.a_r.tolist() == []
         assert pool.c_r.tolist() == [1, 2]
 
     def test_isolated_root(self):
-        g = Digraph.from_edges(3, [(1, 2)])
-        pool = strong_extender_pool(g, 0, 1, no_a(g))
+        g = from_pairs(3, [(1, 2)])
+        pool = strong_extender_pool(g.two_paths_into(0), 0, 1, no_a(g))
         assert pool.a_r.size == 0 and pool.c_r.size == 0
 
     @given(out_regular_digraphs(max_ell=3, max_n=22))
@@ -103,7 +104,7 @@ class TestStrongExtenderPool:
         g, ell = g_ell
         a_mask = partition_by_in_degree(g, ell)
         r = 0
-        pool = strong_extender_pool(g, r, ell, a_mask)
+        pool = strong_extender_pool(g.two_paths_into(r), r, ell, a_mask)
         assert_pool_shape(pool)
         pooled = set(pool.a_r.tolist()) | set(pool.c_r.tolist())
         thr = 2 * ell - 1
@@ -122,39 +123,39 @@ class TestGreedyExtend:
     def test_empty_sequence_returns_base(self):
         g = gen_complete_digraph(5)
         base = Spider(0, ((1, 2),))
-        assert greedy_extend(g, 0, base, []) == base
+        assert greedy_extend(g.two_paths_into(0), 0, base, []) == base
 
     def test_k5_attaches_remaining_vertex(self):
         g = gen_complete_digraph(5)
-        out = greedy_extend(g, 0, Spider(0, ((1, 2),)), [3])
+        out = greedy_extend(g.two_paths_into(0), 0, Spider(0, ((1, 2),)), [3])
         assert out.legs == ((1, 2), (3, 4))
         assert verify_spider(g, out, 2) is None
 
     def test_exhausted_when_options_inside_spider(self):
         base = Spider(0, ((1, 2),))
         with pytest.raises(ExtensionExhausted) as exc:
-            greedy_extend(CHAIN, 0, base, [3])
+            greedy_extend(CHAIN.two_paths_into(0), 0, base, [3])
         assert exc.value.vertex == 3
 
     def test_prefers_extender_as_leaf(self):
         g = gen_complete_digraph(3)
-        out = greedy_extend(g, 0, Spider(0), [1])
+        out = greedy_extend(g.two_paths_into(0), 0, Spider(0), [1])
         assert out.legs == ((1, 2),)
 
     def test_reverse_orientation_used_when_needed(self):
-        g = Digraph.from_edges(3, [(2, 1), (1, 0)])
-        out = greedy_extend(g, 0, Spider(0), [1])
+        g = from_pairs(3, [(2, 1), (1, 0)])
+        out = greedy_extend(g.two_paths_into(0), 0, Spider(0), [1])
         assert out.legs == ((2, 1),)
         assert verify_spider(g, out, 1) is None
 
     def test_smallest_candidate_wins(self):
         g = gen_complete_digraph(5)
-        out = greedy_extend(g, 0, Spider(0), [1])
+        out = greedy_extend(g.two_paths_into(0), 0, Spider(0), [1])
         assert out.legs == ((1, 2),)
 
     def test_candidates_skip_pending_extenders(self):
         g = gen_complete_digraph(7)
-        out = greedy_extend(g, 0, Spider(0), [1, 2, 3])
+        out = greedy_extend(g.two_paths_into(0), 0, Spider(0), [1, 2, 3])
         assert verify_spider(g, out, 3) is None
         # 1 cannot grab 2 or 3: they are later extenders.
         assert out.legs[0] == (1, 4)
@@ -162,9 +163,9 @@ class TestGreedyExtend:
     def test_rejects_overlapping_f_seq(self):
         g = gen_complete_digraph(5)
         with pytest.raises(ValueError):
-            greedy_extend(g, 0, Spider(0, ((1, 2),)), [1])
+            greedy_extend(g.two_paths_into(0), 0, Spider(0, ((1, 2),)), [1])
         with pytest.raises(ValueError):
-            greedy_extend(g, 0, Spider(0), [3, 3])
+            greedy_extend(g.two_paths_into(0), 0, Spider(0), [3, 3])
 
     @given(out_regular_digraphs(max_ell=4, max_n=30))
     @settings(max_examples=60)
@@ -173,24 +174,26 @@ class TestGreedyExtend:
         # completes and yields a verified spider.
         g, ell = g_ell
         r = 0
-        pool = strong_extender_pool(g, r, ell, partition_by_in_degree(g, ell))
+        pool = strong_extender_pool(
+            g.two_paths_into(r), r, ell, partition_by_in_degree(g, ell)
+        )
         f_seq = np.concatenate((pool.a_r, pool.c_r))[:ell]
         if len(f_seq) < ell:
             return
-        out = greedy_extend(g, r, Spider(r), f_seq)
+        out = greedy_extend(g.two_paths_into(r), r, Spider(r), f_seq)
         assert verify_spider(g, out, ell) is None
 
     def test_tight_positional_requirements(self):
         # |O(x_i, 0)| equals the positional requirement f + 2s + i - 1
         # exactly (f=2, s=0): position 1 needs 2 options, position 2 needs 3.
-        g = Digraph.from_edges(
+        g = from_pairs(
             6,
             [(1, 3), (1, 4), (2, 3), (2, 4), (2, 5),
              (3, 0), (4, 0), (5, 0)],
         )
         assert len(brute_extension_set(g, 1, 0)) == 2
         assert len(brute_extension_set(g, 2, 0)) == 3
-        out = greedy_extend(g, 0, Spider(0), [1, 2])
+        out = greedy_extend(g.two_paths_into(0), 0, Spider(0), [1, 2])
         assert out.legs == ((1, 3), (2, 4))
         assert verify_spider(g, out, 2) is None
 
@@ -216,7 +219,7 @@ class TestGreedyExtend:
         if len(eligible) < f:
             return
         f_seq = data.draw(st.permutations(eligible))[:f]
-        out = greedy_extend(g, r, base, f_seq)
+        out = greedy_extend(g.two_paths_into(r), r, base, f_seq)
         assert verify_spider(g, out, s + f) is None
 
     @given(
@@ -253,6 +256,7 @@ class TestGreedyExtend:
         expected = brute_greedy_extend(g, r, base, f_seq)
         if expected is None:
             with pytest.raises(ExtensionExhausted):
-                greedy_extend(g, r, base, f_seq)
+                greedy_extend(g.two_paths_into(r), r, base, f_seq)
         else:
-            assert list(greedy_extend(g, r, base, f_seq).legs) == expected
+            out = greedy_extend(g.two_paths_into(r), r, base, f_seq)
+            assert list(out.legs) == expected

@@ -14,7 +14,12 @@ from spiderfind import (
     select_root,
     strong_extender_pool,
 )
-from reference import brute_a_count, brute_two_paths_to, brute_vb_count
+from reference import (
+    brute_a_count,
+    brute_two_paths_to,
+    brute_vb_count,
+    from_pairs,
+)
 from strategies import out_regular_digraphs
 
 
@@ -39,7 +44,7 @@ class TestPartition:
 
     def test_threshold_split(self):
         # 2-out-regular on 6 vertices; in-degrees vary around the threshold.
-        g = Digraph.from_edges(
+        g = from_pairs(
             6,
             [(0, 1), (0, 2), (1, 2), (1, 3), (2, 1), (2, 3),
              (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2)],
@@ -74,13 +79,13 @@ class TestScoreRoots:
         # Root 0 has three in-neighbors in B, each with 5 other in-neighbors.
         edges = [(b, 0) for b in (1, 2, 3)]
         edges += [(f, b) for b in (1, 2, 3) for f in range(4, 9)]
-        g = Digraph.from_edges(9, edges)
+        g = from_pairs(9, edges)
         a_mask = manual_partition(9, {0})
         scores = score_roots(g, a_mask, 3)
         assert scores[0] == RootScore(x=0, a_x=0, vb_x=15, score=15)
 
     def test_score_zero(self):
-        g = Digraph.from_edges(3, [(1, 0), (2, 0)])
+        g = from_pairs(3, [(1, 0), (2, 0)])
         a_mask = manual_partition(3, {0})
         scores = score_roots(g, a_mask, 1)
         assert scores[0] == RootScore(x=0, a_x=0, vb_x=0, score=0)
@@ -88,7 +93,7 @@ class TestScoreRoots:
     def test_antiparallel_middle_correction(self):
         # v -> b -> x plus both b -> x and x -> b present: x itself must not
         # be counted as a first vertex.
-        g = Digraph.from_edges(3, [(1, 2), (0, 2), (2, 0)])
+        g = from_pairs(3, [(1, 2), (0, 2), (2, 0)])
         a_mask = manual_partition(3, {0})
         scores = score_roots(g, a_mask, 1)
         assert scores[0].vb_x == 1
@@ -184,16 +189,16 @@ class TestQPaths:
     def test_k5_empty_vacuous(self):
         g = gen_complete_digraph(5)
         a_mask = partition_by_in_degree(g, 2)
-        pool = strong_extender_pool(g, 0, 2, a_mask)
-        q = compute_q_paths(g, 0, a_mask, pool)
+        pool = strong_extender_pool(g.two_paths_into(0), 0, 2, a_mask)
+        q = compute_q_paths(g.two_paths_into(0), 0, a_mask, pool)
         assert len(q) == 0
 
     def test_no_exclusions_keeps_all_vb_paths(self):
-        g = Digraph.from_edges(4, [(1, 2), (3, 2), (2, 0)])
+        g = from_pairs(4, [(1, 2), (3, 2), (2, 0)])
         a_mask = manual_partition(4, {0})
         none = np.empty(0, dtype=np.int64)
         pool = ExtenderPool(a_r=none, c_r=none)
-        q = compute_q_paths(g, 0, a_mask, pool)
+        q = compute_q_paths(g.two_paths_into(0), 0, a_mask, pool)
         assert q.r == 0
         assert set(zip(q.first.tolist(), q.middle.tolist())) == {(1, 2), (3, 2)}
 
@@ -203,8 +208,8 @@ class TestQPaths:
         g, ell = g_ell
         a_mask = partition_by_in_degree(g, ell)
         r = int(select_root(score_roots(g, a_mask, ell)).x)
-        pool = strong_extender_pool(g, r, ell, a_mask)
-        q = compute_q_paths(g, r, a_mask, pool)
+        pool = strong_extender_pool(g.two_paths_into(r), r, ell, a_mask)
+        q = compute_q_paths(g.two_paths_into(r), r, a_mask, pool)
         excluded = set(pool.a_r.tolist()) | set(pool.c_r.tolist())
         edges = set(g.edges())
         assert q.r == r
@@ -226,7 +231,7 @@ class TestQPaths:
         g, ell = g_ell
         a_mask = partition_by_in_degree(g, ell)
         r = int(select_root(score_roots(g, a_mask, ell)).x)
-        pool = strong_extender_pool(g, r, ell, a_mask)
+        pool = strong_extender_pool(g.two_paths_into(r), r, ell, a_mask)
         vb_paths = [
             (v, b) for v, b in brute_two_paths_to(g, r) if not a_mask[b]
         ]

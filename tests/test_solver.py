@@ -21,6 +21,7 @@ from spiderfind import (
     parse_edge_list,
     verify_spider,
 )
+from reference import from_pairs
 from strategies import min_out_degree_digraphs, out_regular_digraphs
 
 TRIANGLE = parse_edge_list("3 3\n0 1\n1 2\n2 0\n")
@@ -156,7 +157,7 @@ def antiparallel_triangle_instance() -> Digraph:
     edges += [(11, 8), (11, 9), (11, 10), (11, 12)]
     edges += [(12, 8), (12, 9), (12, 10), (12, 13)]
     edges += [(13, 8), (13, 9), (13, 10), (13, 11)]
-    return Digraph.from_edges(14, edges)
+    return from_pairs(14, edges)
 
 
 class TestCoverageCheckBoundary:
@@ -195,7 +196,7 @@ def few_extenders_instance() -> Digraph:
         [0, 3, 6, 7, 10, 11], [1, 2, 5, 6, 9, 12], [0, 1, 3, 5, 7, 9],
         [2, 3, 6, 7, 8, 14], [0, 4, 5, 6, 7, 9], [0, 4, 5, 6, 9, 12],
     ]
-    return Digraph.from_edges(15, [(v, u) for v, row in enumerate(rows) for u in row])
+    return from_pairs(15, [(v, u) for v, row in enumerate(rows) for u in row])
 
 
 def _low_score(select_root, ell):
@@ -203,8 +204,8 @@ def _low_score(select_root, ell):
 
 
 def _short_q(compute_q_paths, ell):
-    def stage(g, r, a_mask, pool):
-        q = compute_q_paths(g, r, a_mask, pool)
+    def stage(paths, r, a_mask, pool):
+        q = compute_q_paths(paths, r, a_mask, pool)
         d = 2 * ell
         keep = d * d - d - (len(pool.a_r) + len(pool.c_r)) * (4 * ell - 1) - 1
         assert keep >= 0
@@ -287,8 +288,8 @@ class TestOneEnforcementPoint:
         monkeypatch.setattr(
             solver,
             "compute_q_paths",
-            lambda g, r, a_mask, pool: QPaths(
-                np.array([r, 2]), np.array([1, 3]), r, g.n
+            lambda paths, r, a_mask, pool: QPaths(
+                np.array([r, 2]), np.array([1, 3]), r, len(paths[0])
             ),
         )
         g = gen_complete_digraph(5)
@@ -299,6 +300,31 @@ class TestOneEnforcementPoint:
             find_spider(g, 2, mode="checked")
         out = find_spider(g, 2, mode="fast")
         assert verify_spider(g, out.spider, 2).kind is ViolationKind.ROOT_IN_LEG
+
+
+class TestOneRootView:
+    """Every stage after root selection reads one edge scan's 2-paths."""
+
+    @pytest.mark.parametrize(
+        "make_graph, ell, added",
+        [
+            (lambda: gen_complete_digraph(5), 2, 2),
+            (lambda: gen_random_out_regular(200, 10, seed=3), 5, 0),
+        ],
+        ids=["greedy", "no_greedy"],
+    )
+    def test_two_paths_into_runs_once(self, monkeypatch, make_graph, ell, added):
+        roots = []
+        two_paths_into = Digraph.two_paths_into
+
+        def counted(g, r):
+            roots.append(r)
+            return two_paths_into(g, r)
+
+        monkeypatch.setattr(Digraph, "two_paths_into", counted)
+        out = find_spider(make_graph(), ell)
+        assert max(ell - out.trace.s, 0) == added
+        assert roots == [out.spider.root]
 
 
 class TestExplainTrace:
