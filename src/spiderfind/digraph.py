@@ -84,25 +84,22 @@ class Digraph:
     # ---- construction ----------------------------------------------------
 
     @classmethod
-    def from_edge_arrays(
-        cls, n: int, src: np.ndarray, dst: np.ndarray, validate: bool = True
-    ) -> "Digraph":
+    def from_edge_arrays(cls, n: int, src: np.ndarray, dst: np.ndarray) -> "Digraph":
         n = int(n)
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         src = np.asarray(src)
         dst = np.asarray(dst)
-        if validate:
-            if src.size and (src.min() < 0 or src.max() >= n):
-                raise ValueError("source vertex out of range")
-            if dst.size and (dst.min() < 0 or dst.max() >= n):
-                raise ValueError("destination vertex out of range")
-            if np.any(src == dst):
-                bad = int(np.flatnonzero(src == dst)[0])
-                raise ValueError(f"self-loop at edge {bad}")
-            key = src.astype(np.int64) * n + dst
-            if _sorted_distinct(key).size != key.size:
-                raise ValueError("duplicate directed edge")
+        if src.size and (src.min() < 0 or src.max() >= n):
+            raise ValueError("source vertex out of range")
+        if dst.size and (dst.min() < 0 or dst.max() >= n):
+            raise ValueError("destination vertex out of range")
+        if np.any(src == dst):
+            bad = int(np.flatnonzero(src == dst)[0])
+            raise ValueError(f"self-loop at edge {bad}")
+        key = src.astype(np.int64) * n + dst
+        if _sorted_distinct(key).size != key.size:
+            raise ValueError("duplicate directed edge")
         order = np.argsort(src, kind="stable")
         counts = np.bincount(src, minlength=n) if src.size else np.zeros(n, np.int64)
         indptr = np.zeros(n + 1, dtype=np.int64)
@@ -306,10 +303,7 @@ def _parse_lines(text: str) -> Digraph:
             header_line, f"expected {m} edges, found {len(src)}"
         )
     return Digraph.from_edge_arrays(
-        n,
-        np.asarray(src, dtype=np.int64),
-        np.asarray(dst, dtype=np.int64),
-        validate=False,
+        n, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
     )
 
 

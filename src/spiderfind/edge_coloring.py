@@ -10,8 +10,9 @@ The coloring itself follows the classical constructive proof of Vizing's
 theorem: insert edges one at a time; when no color is free at both
 endpoints, build a fan at one endpoint, fold it, and when folding is blocked
 flip a two-color alternating path first.  A largest color class of size s
-always covers at least |E(H)| / (Delta+1) edges by pigeonhole.  The stages
-here only compute; the solver records and enforces those bounds.
+always covers at least |E(H)| / (Delta+1) edges by pigeonhole.  The solver
+records and enforces those bounds; vizing_color checks that its coloring is
+proper on every call, whatever the solve mode.
 
 Every nondeterministic choice in the textbook proof (which free color, which
 fan vertex, which chain) is pinned to the lowest index, so colorings are
@@ -45,51 +46,29 @@ class ExtensionGraph:
     leaf[i] -> mid[i] -> r.
     """
 
-    __slots__ = (
-        "n",
-        "r",
-        "edge_u",
-        "edge_v",
-        "leaf",
-        "mid",
-        "max_degree",
-        "truncated",
-    )
+    __slots__ = ("edge_u", "edge_v", "leaf", "mid", "max_degree", "truncated")
 
     def __init__(
         self,
-        n: int,
-        r: int,
         edge_u: np.ndarray,
         edge_v: np.ndarray,
         leaf: np.ndarray,
         mid: np.ndarray,
         truncated: bool = False,
     ):
-        self.n = int(n)
-        self.r = int(r)
         self.edge_u = edge_u
         self.edge_v = edge_v
         self.leaf = leaf
         self.mid = mid
         self.truncated = truncated
         if edge_u.size:
-            deg = np.bincount(
-                np.concatenate([edge_u, edge_v]).astype(np.int64), minlength=self.n
-            )
-            self.max_degree = int(deg.max())
+            self.max_degree = int(np.bincount(np.concatenate([edge_u, edge_v])).max())
         else:
             self.max_degree = 0
 
     @property
     def num_edges(self) -> int:
         return int(self.edge_u.shape[0])
-
-    def __repr__(self) -> str:
-        return (
-            f"ExtensionGraph(r={self.r}, edges={self.num_edges}, "
-            f"max_degree={self.max_degree}, truncated={self.truncated})"
-        )
 
 
 @dataclass(frozen=True)
@@ -106,11 +85,9 @@ def build_extension_graph(q: QPaths) -> ExtensionGraph:
     middle = q.middle.astype(np.int64)
     u = np.minimum(first, middle)
     v = np.maximum(first, middle)
-    _, first_idx = np.unique(u * q.n + v, return_index=True)
+    _, first_idx = np.unique((u << 32) | v, return_index=True)
     keep = np.sort(first_idx)
     return ExtensionGraph(
-        n=q.n,
-        r=q.r,
         edge_u=u[keep].astype(np.int32),
         edge_v=v[keep].astype(np.int32),
         leaf=first[keep].astype(np.int32),
@@ -129,8 +106,6 @@ def truncate_for_coloring(h: ExtensionGraph, ell: int) -> ExtensionGraph:
     if h.num_edges <= cap:
         return h
     return ExtensionGraph(
-        n=h.n,
-        r=h.r,
         edge_u=h.edge_u[:cap],
         edge_v=h.edge_v[:cap],
         leaf=h.leaf[:cap],
@@ -142,8 +117,9 @@ def truncate_for_coloring(h: ExtensionGraph, ell: int) -> ExtensionGraph:
 # ---- Vizing coloring ----------------------------------------------------------
 
 
-def vizing_color(h: ExtensionGraph, checked: bool = True) -> EdgeColoring:
-    """Proper edge coloring with palette exactly Delta(h)+1 (0 when edgeless)."""
+def vizing_color(h: ExtensionGraph) -> EdgeColoring:
+    """Proper edge coloring with palette exactly Delta(h)+1 (0 when edgeless),
+    checked for properness on every call in time linear in the edges of h."""
     m = h.num_edges
     if m == 0:
         return EdgeColoring(color_of=np.empty(0, dtype=np.int32), palette=0)
@@ -177,10 +153,8 @@ def vizing_color(h: ExtensionGraph, checked: bool = True) -> EdgeColoring:
         else:
             _insert_with_fan(ei, u, v, col, free, at)
 
-    coloring = EdgeColoring(color_of=np.asarray(col, dtype=np.int32), palette=k)
-    if checked:
-        _check_proper(eu, ev, col, k)
-    return coloring
+    _check_proper(eu, ev, col, k)
+    return EdgeColoring(color_of=np.asarray(col, dtype=np.int32), palette=k)
 
 
 def _assign(e, u, v, c, col, free, at):
@@ -325,11 +299,9 @@ def largest_color_class(h: ExtensionGraph, col: EdgeColoring) -> np.ndarray:
 
     On a proper coloring the result is a matching.
     """
-    if h.num_edges == 0:
-        return np.empty(0, dtype=np.int64)
     counts = np.bincount(col.color_of, minlength=max(col.palette, 1))
     c = int(np.argmax(counts))
-    return np.flatnonzero(col.color_of == c).astype(np.int64)
+    return np.flatnonzero(col.color_of == c)
 
 
 def format_coloring_dump(h: ExtensionGraph, col: EdgeColoring) -> str:

@@ -62,11 +62,9 @@ class RootScores(Sequence[RootScore]):
 class QPaths:
     """The 2-paths first -> middle -> r surviving the strong-extender exclusion."""
 
-    def __init__(self, first: np.ndarray, middle: np.ndarray, r: int, n: int):
+    def __init__(self, first: np.ndarray, middle: np.ndarray):
         self.first = first
         self.middle = middle
-        self.r = int(r)
-        self.n = int(n)
 
     def __len__(self) -> int:
         return int(self.first.shape[0])
@@ -140,19 +138,15 @@ def select_root(scores: RootScores) -> RootScore:
     return scores[int(np.argmax(scores.score))]
 
 
-def compute_q_paths(
-    paths: tuple, r: int, a_mask: np.ndarray, pool: ExtenderPool
-) -> QPaths:
+def compute_q_paths(paths: tuple, a_mask: np.ndarray, pool: ExtenderPool) -> QPaths:
     """All v -> b -> r with b in B, avoiding r and every strong extender.
 
     `paths` is `Digraph.two_paths_into(r)`.  The count is guaranteed to be
     at least d^2 - d - (a+c)(4l-1), a bound that may be vacuously negative.
     """
     in_r, leaf, mid = paths
-    n = in_r.shape[0]
-    r = int(r)
-    excluded = np.zeros(n, dtype=bool)
+    excluded = np.zeros(in_r.shape[0], dtype=bool)
     excluded[pool.a_r] = True
     excluded[pool.c_r] = True
     keep = ~(a_mask[mid] | excluded[mid] | excluded[leaf])
-    return QPaths(first=leaf[keep], middle=mid[keep], r=r, n=n)
+    return QPaths(first=leaf[keep], middle=mid[keep])

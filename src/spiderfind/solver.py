@@ -4,11 +4,12 @@ Pipeline: regularize to exact out-degree d = 2l, partition by in-degree,
 pick the root maximizing d*|A_r| + |VB_r|, classify strong extenders,
 enumerate surviving 2-paths, edge-color the extension graph and lift the
 largest color class to a base spider, then greedily extend with strong
-extenders until l legs.  The stages only compute; every inequality the
-construction relies on is recorded in the trace here, and only here.  In
-"checked" mode a violated inequality raises (it can only mean a bug, never
-bad input); in "fast" mode checks are recorded but nothing is enforced
-beyond what is needed to produce output.
+extenders until l legs.  No stage takes the solve mode: every inequality
+the construction relies on is recorded in the trace here, and only here,
+and enforced in one loop.  A violated inequality raises (it can only mean a
+bug, never bad input).  "checked" mode enforces every inequality and
+re-verifies the spider; "fast" mode enforces only a + c + s >= l, the one
+the output depends on, and records the rest.
 """
 from __future__ import annotations
 
@@ -116,12 +117,12 @@ def find_spider(
     a = len(pool.a_r)
     c = len(pool.c_r)
 
-    q = compute_q_paths(paths, r, a_mask, pool)
+    q = compute_q_paths(paths, a_mask, pool)
     q_size = len(q)
 
     h = build_extension_graph(q)
     ht = truncate_for_coloring(h, ell)
-    coloring = vizing_color(ht, checked=checked)
+    coloring = vizing_color(ht)
     cls = largest_color_class(ht, coloring)
     s = int(cls.shape[0])
     base_legs = tuple(
@@ -142,26 +143,20 @@ def find_spider(
     ]
     if not ht.truncated:
         checks.append(_check("s(2l-1) >= |Q_r|", s * (2 * ell - 1), q_size))
-    checks.append(_check("a + c + s >= l", a + c + s, ell))
-    if checked:
-        for chk in checks:
-            if not chk.passed:
-                raise InternalInvariantError(
-                    f"proof inequality failed: {chk.name} "
-                    f"({chk.lhs} vs {chk.rhs})"
-                )
+    enough_legs = _check("a + c + s >= l", a + c + s, ell)
+    checks.append(enough_legs)
+    for chk in checks if checked else (enough_legs,):
+        if not chk.passed:
+            raise InternalInvariantError(
+                f"proof inequality failed: {chk.name} ({chk.lhs} vs {chk.rhs})"
+            )
 
     if s >= ell:
         spider = Spider(root=int(r), legs=base_legs[:ell])
     else:
-        need = ell - s
-        f_seq = np.concatenate((pool.a_r, pool.c_r))
-        if len(f_seq) < need:
-            raise InternalInvariantError(
-                f"need {need} strong extenders, only {len(f_seq)} available"
-            )
+        f_seq = np.concatenate((pool.a_r, pool.c_r))[: ell - s]
         base = Spider(root=int(r), legs=base_legs)
-        spider = greedy_extend(paths, r, base, f_seq[:need])
+        spider = greedy_extend(paths, r, base, f_seq)
 
     if checked:
         report = verify_spider(g, spider, ell)

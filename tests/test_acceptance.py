@@ -153,13 +153,9 @@ def test_criterion_4_oracle_cross_validation():
 
 
 def _make_h(edges) -> ExtensionGraph:
-    top = max(max(e) for e in edges) if edges else 0
-    n = top + 2
     eu = np.asarray([u for u, _ in edges], dtype=np.int32)
     ev = np.asarray([v for _, v in edges], dtype=np.int32)
-    return ExtensionGraph(
-        n=n, r=n - 1, edge_u=eu, edge_v=ev, leaf=eu.copy(), mid=ev.copy()
-    )
+    return ExtensionGraph(edge_u=eu, edge_v=ev, leaf=eu.copy(), mid=ev.copy())
 
 
 def _coloring_violations(edges, col) -> list[str]:

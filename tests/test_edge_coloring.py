@@ -23,25 +23,16 @@ from strategies import out_regular_digraphs
 
 def make_h(edges):
     """Synthetic undirected ExtensionGraph; payloads mirror the stored pair."""
-    if edges:
-        top = max(max(u, v) for u, v in edges)
-    else:
-        top = 0
-    n = top + 2
     eu = np.asarray([u for u, _ in edges], dtype=np.int32)
     ev = np.asarray([v for _, v in edges], dtype=np.int32)
-    return ExtensionGraph(
-        n=n, r=n - 1, edge_u=eu, edge_v=ev, leaf=eu.copy(), mid=ev.copy()
-    )
+    return ExtensionGraph(edge_u=eu, edge_v=ev, leaf=eu.copy(), mid=ev.copy())
 
 
-def make_q(paths, r, n):
+def make_q(paths):
     """QPaths from (first, middle) pairs, each realizing first -> middle -> r."""
     return QPaths(
         first=np.asarray([f for f, _ in paths], dtype=np.int32),
         middle=np.asarray([m for _, m in paths], dtype=np.int32),
-        r=r,
-        n=n,
     )
 
 
@@ -63,20 +54,19 @@ def undirected_graphs(draw, max_n=16):
 
 class TestBuild:
     def test_two_paths_share_middle(self):
-        h = build_extension_graph(make_q([(1, 2), (3, 2)], r=0, n=4))
+        h = build_extension_graph(make_q([(1, 2), (3, 2)]))
         assert h.num_edges == 2
         assert set(edge_list(h)) == {(1, 2), (2, 3)}
         assert h.max_degree == 2
-        assert h.r == 0
 
     def test_opposite_orientations_merge_first_wins(self):
-        h = build_extension_graph(make_q([(2, 1), (1, 2)], r=0, n=3))
+        h = build_extension_graph(make_q([(2, 1), (1, 2)]))
         assert h.num_edges == 1
         assert edge_list(h) == [(1, 2)]
         assert (int(h.leaf[0]), int(h.mid[0])) == (2, 1)
 
     def test_empty(self):
-        h = build_extension_graph(make_q([], r=0, n=3))
+        h = build_extension_graph(make_q([]))
         assert h.num_edges == 0
         assert h.max_degree == 0
 
@@ -197,7 +187,7 @@ class TestPayloadSoundness:
         a_mask = partition_by_in_degree(g, ell)
         r = int(select_root(score_roots(g, a_mask, ell)).x)
         pool = strong_extender_pool(g.two_paths_into(r), r, ell, a_mask)
-        q = compute_q_paths(g.two_paths_into(r), r, a_mask, pool)
+        q = compute_q_paths(g.two_paths_into(r), a_mask, pool)
         h = build_extension_graph(q)
         ht = truncate_for_coloring(h, ell)
         col = vizing_color(ht)

@@ -190,7 +190,7 @@ class TestQPaths:
         g = gen_complete_digraph(5)
         a_mask = partition_by_in_degree(g, 2)
         pool = strong_extender_pool(g.two_paths_into(0), 0, 2, a_mask)
-        q = compute_q_paths(g.two_paths_into(0), 0, a_mask, pool)
+        q = compute_q_paths(g.two_paths_into(0), a_mask, pool)
         assert len(q) == 0
 
     def test_no_exclusions_keeps_all_vb_paths(self):
@@ -198,8 +198,7 @@ class TestQPaths:
         a_mask = manual_partition(4, {0})
         none = np.empty(0, dtype=np.int64)
         pool = ExtenderPool(a_r=none, c_r=none)
-        q = compute_q_paths(g.two_paths_into(0), 0, a_mask, pool)
-        assert q.r == 0
+        q = compute_q_paths(g.two_paths_into(0), a_mask, pool)
         assert set(zip(q.first.tolist(), q.middle.tolist())) == {(1, 2), (3, 2)}
 
     @given(out_regular_digraphs(max_ell=3, max_n=20))
@@ -209,10 +208,9 @@ class TestQPaths:
         a_mask = partition_by_in_degree(g, ell)
         r = int(select_root(score_roots(g, a_mask, ell)).x)
         pool = strong_extender_pool(g.two_paths_into(r), r, ell, a_mask)
-        q = compute_q_paths(g.two_paths_into(r), r, a_mask, pool)
+        q = compute_q_paths(g.two_paths_into(r), a_mask, pool)
         excluded = set(pool.a_r.tolist()) | set(pool.c_r.tolist())
         edges = set(g.edges())
-        assert q.r == r
         for first, middle in zip(q.first.tolist(), q.middle.tolist()):
             assert first not in (r, middle)
             assert (first, middle) in edges

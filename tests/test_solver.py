@@ -1,14 +1,17 @@
 import dataclasses
+import inspect
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import spiderfind.edge_coloring as edge_coloring
 import spiderfind.solver as solver
 from spiderfind import (
     Digraph,
     EmptyA,
+    ExtenderPool,
     InternalInvariantError,
     PreconditionOutDegree,
     QPaths,
@@ -204,12 +207,12 @@ def _low_score(select_root, ell):
 
 
 def _short_q(compute_q_paths, ell):
-    def stage(paths, r, a_mask, pool):
-        q = compute_q_paths(paths, r, a_mask, pool)
+    def stage(paths, a_mask, pool):
+        q = compute_q_paths(paths, a_mask, pool)
         d = 2 * ell
         keep = d * d - d - (len(pool.a_r) + len(pool.c_r)) * (4 * ell - 1) - 1
         assert keep >= 0
-        return QPaths(q.first[:keep], q.middle[:keep], q.r, q.n)
+        return QPaths(q.first[:keep], q.middle[:keep])
 
     return stage
 
@@ -224,9 +227,7 @@ def _high_degree(build_extension_graph, ell):
 
 
 def _wide_palette(vizing_color, ell):
-    return lambda h, checked: dataclasses.replace(
-        vizing_color(h, checked=checked), palette=2 * ell
-    )
+    return lambda h: dataclasses.replace(vizing_color(h), palette=2 * ell)
 
 
 def _empty_class(largest_color_class, ell):
@@ -248,9 +249,61 @@ STAGE_DEFECTS = [
 ]
 
 
+# Every stage find_spider calls between regularizing and verifying.
+STAGES = [
+    "partition_by_in_degree",
+    "score_roots",
+    "select_root",
+    "strong_extender_pool",
+    "compute_q_paths",
+    "build_extension_graph",
+    "truncate_for_coloring",
+    "vizing_color",
+    "largest_color_class",
+    "greedy_extend",
+]
+
+
 class TestOneEnforcementPoint:
     """Stages only compute; find_spider alone records and enforces the
     proof inequalities, so a defective stage result surfaces there."""
+
+    def test_no_stage_takes_the_mode(self):
+        for stage in STAGES:
+            params = inspect.signature(getattr(solver, stage)).parameters
+            assert not {"checked", "mode"} & set(params), stage
+
+    def test_fast_mode_enforces_enough_legs(self, monkeypatch):
+        none = np.empty(0, dtype=np.int64)
+        monkeypatch.setattr(
+            solver,
+            "strong_extender_pool",
+            lambda paths, r, ell, a_mask: ExtenderPool(a_r=none, c_r=none),
+        )
+        monkeypatch.setattr(
+            solver,
+            "largest_color_class",
+            _empty_class(solver.largest_color_class, 2),
+        )
+        with pytest.raises(
+            InternalInvariantError,
+            match=r"^proof inequality failed: a \+ c \+ s >= l \(",
+        ):
+            find_spider(gen_complete_digraph(5), 2, mode="fast")
+
+    @pytest.mark.parametrize("mode", ["checked", "fast"])
+    def test_coloring_self_check_runs_in_both_modes(self, monkeypatch, mode):
+        calls = []
+        check_proper = edge_coloring._check_proper
+
+        def spied(*args):
+            calls.append(args)
+            return check_proper(*args)
+
+        monkeypatch.setattr(edge_coloring, "_check_proper", spied)
+        out = find_spider(gen_random_out_regular(200, 10, seed=3), 5, mode=mode)
+        assert out.trace.s >= 5
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "stage, defect, check, make_graph, ell",
@@ -288,9 +341,7 @@ class TestOneEnforcementPoint:
         monkeypatch.setattr(
             solver,
             "compute_q_paths",
-            lambda paths, r, a_mask, pool: QPaths(
-                np.array([r, 2]), np.array([1, 3]), r, len(paths[0])
-            ),
+            lambda paths, a_mask, pool: QPaths(np.array([0, 2]), np.array([1, 3])),
         )
         g = gen_complete_digraph(5)
         with pytest.raises(
