@@ -199,11 +199,20 @@ def _cmd_search(args) -> int:
 def _cmd_bench(args) -> int:
     sizes = [int(tok) for tok in args.sizes.split(",") if tok]
     ell = args.ell
+    # Every input is checked before the header, so a usage error leaves
+    # stdout empty.
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    if args.repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    for n in sizes:
+        if n <= 2 * ell:
+            raise ValueError(f"size {n} must be > 2l = {2 * ell}")
     sys.stdout.write("n\tm\tell\tms\ta\tc\ts\n")
     for idx, n in enumerate(sizes):
         g = gen_random_out_regular(n, 2 * ell, args.seed + idx)
         best_ms = None
-        for _ in range(max(1, args.repeats)):
+        for _ in range(args.repeats):
             t0 = time.perf_counter()
             outcome = find_spider(g, ell, mode="fast")
             elapsed = (time.perf_counter() - t0) * 1000.0

@@ -38,7 +38,8 @@ _CANONICAL_DIGITS = 10
 # small; denser rows switch to a blocked Fisher-Yates shuffle.
 _FY_BLOCK_CELLS = 4_000_000
 
-# Indices per `_gather` slice, whose intp copy (512 KiB) stays in cache.
+# Indices per `_gather` slice (and the least per `_bincount` slice), whose
+# intp copy (512 KiB) stays in cache.
 _GATHER_CHUNK = 65_536
 
 
@@ -61,6 +62,25 @@ def _gather(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
     for lo in range(0, idx.shape[0], _GATHER_CHUNK):
         hi = lo + _GATHER_CHUNK
         np.take(table, idx[lo:hi], out=out[lo:hi])
+    return out
+
+
+def _bincount(
+    idx: np.ndarray, n: int, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """np.bincount(idx, weights, minlength=n) for int32 `idx` in [0, n),
+    without numpy's whole-array intp cast.
+
+    Slices hold at least n indices, so adding a slice's counts into the
+    total never costs more than counting them: at n = 1e6 and 2M indices,
+    fixed 64K slices took 94 ms where one whole-array call took 26 ms.
+    """
+    out = np.zeros(n, dtype=np.int64 if weights is None else np.float64)
+    step = max(_GATHER_CHUNK, n)
+    for lo in range(0, idx.shape[0], step):
+        hi = lo + step
+        part = np.bincount(idx[lo:hi], None if weights is None else weights[lo:hi])
+        out[: part.shape[0]] += part
     return out
 
 
@@ -115,7 +135,7 @@ class Digraph:
     @property
     def in_degrees(self) -> np.ndarray:
         if self._in_deg is None:
-            deg = np.bincount(self._indices, minlength=self.n).astype(np.int64)
+            deg = _bincount(self._indices, self.n)
             deg.setflags(write=False)
             self._in_deg = deg
         return self._in_deg

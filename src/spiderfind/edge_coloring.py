@@ -294,7 +294,7 @@ def _check_proper(eu, ev, col, palette):
         raise InternalInvariantError("incident edges share a color")
 
 
-def largest_color_class(h: ExtensionGraph, col: EdgeColoring) -> np.ndarray:
+def largest_color_class(col: EdgeColoring) -> np.ndarray:
     """Edge indices of a maximum color class, smallest color index on ties.
 
     On a proper coloring the result is a matching.

@@ -1,10 +1,12 @@
 """A/B in-degree partition, root scoring and selection, and Q-path enumeration.
 
 All functions here operate on the regularized working subgraph in which
-every out-degree equals d = 2l.  The root score d*|A_r| + |VB_r| is computed
-exactly for every candidate in a handful of vectorized passes; averaging
-over the high-in-degree class guarantees the selected root scores at least
-d^2 - d.  These are pure computations: the solver records and enforces the
+every out-degree equals d = 2l.  Root selection needs only the maximiser of
+the score d*|A_r| + |VB_r| over the high-in-degree class A; averaging over A
+guarantees it scores at least d^2 - d.  Scoring bounds every member of A
+from both sides in a handful of vectorized passes, then scores exactly only
+the candidates, the members whose upper bound reaches the largest lower
+bound.  These are pure computations: the solver records and enforces the
 bounds they are guaranteed to meet.
 """
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .digraph import Digraph, _gather
+from .digraph import Digraph, _bincount, _gather
 from .extenders import ExtenderPool
 
 __all__ = [
@@ -36,9 +38,10 @@ class RootScore:
 
 
 class RootScores(Sequence[RootScore]):
-    """Per-candidate scores for every member of the A class, array-backed.
+    """Exact scores of the root candidates, array-backed.
 
-    `xs` lists the candidates in ascending vertex order.
+    `xs` lists the candidates in ascending vertex order.  Every member of
+    the A class outside `xs` scores strictly below the largest score here.
     """
 
     def __init__(self, xs: np.ndarray, a: np.ndarray, vb: np.ndarray, ell: int):
@@ -88,19 +91,22 @@ def partition_by_in_degree(g: Digraph, ell: int) -> np.ndarray:
 
 
 def score_roots(g: Digraph, a_mask: np.ndarray, ell: int) -> RootScores:
-    """Exact a_x = |N^-(x) & A| and vb_x = sum over B-in-neighbors b of
-    |N^-(b) \\ {x}|, for every x in the A class.
+    """Exact scores 2l*a_x + vb_x for every member x of the A class that
+    can still be the maximiser, where a_x = |N^-(x) & A| and vb_x is the
+    sum over B-in-neighbors b of |N^-(b) \\ {x}|.
 
-    Antiparallel pairs x <-> b are counted by sorting the int64 keys
-    x*n + b once.
+    A member is returned when its upper bound, the score without the
+    antiparallel correction, reaches the largest lower bound over A; every
+    other member scores strictly below the largest returned score.
     """
     n = g.n
     src = g.edge_src
     dst = g.edge_dst
     in_deg = g.in_degrees
+    out_deg = g.out_degrees
 
     # Per-edge A membership, from the CSR rows and a chunked gather.
-    a_src = np.repeat(a_mask, g.out_degrees)
+    a_src = np.repeat(a_mask, out_deg)
     a_dst = _gather(a_mask, dst)
 
     # a and vb are only reported for the A class, so edges b -> x with x
@@ -111,25 +117,34 @@ def score_roots(g: Digraph, a_mask: np.ndarray, ell: int) -> RootScores:
     bsrc = src[b_to_a]
     bdst = dst[b_to_a]
     # Every in-neighbor of x lies in A or in B.
-    a_vec = in_deg - np.bincount(bdst, minlength=n)
+    a_vec = in_deg - _bincount(bdst, n)
     in_deg_f = in_deg.astype(np.float64)
-    vb0 = np.bincount(bdst, weights=in_deg_f[bsrc], minlength=n)
+    vb0 = _bincount(bdst, n, weights=_gather(in_deg_f, bsrc)).astype(np.int64)
+
     # b -> x contributes |N^-(b)| minus one when the path v = x would repeat,
-    # i.e. when the antiparallel edge x -> b is also present.  Eligible
-    # reverses run from A into B.  The key x*n + b of each query edge b -> x
-    # and of each eligible reverse x -> b go into one sorted array; the graph
-    # is simple, so a key occurs twice exactly when both edges exist.
-    a_to_b = np.flatnonzero(a_src & ~a_dst)
-    keys = np.concatenate((bdst, src[a_to_b])).astype(np.int64)
+    # i.e. when the antiparallel edge x -> b is also present.  That
+    # correction is at most the out-degree of x, so `upper - out_deg` is a
+    # lower bound on the exact score, and only vertices whose `upper`
+    # reaches the largest lower bound over A can be the maximiser.
+    upper = 2 * ell * a_vec + vb0
+    floor = (upper - out_deg).max(where=a_mask, initial=np.iinfo(np.int64).min)
+    cand = a_mask & (upper >= floor)
+
+    # The correction is counted on candidate-incident edges only: the query
+    # edges b -> x and the eligible reverses x -> b, which run from A into
+    # B.  The key x*n + b of each goes into one sorted array; the graph is
+    # simple, so a key occurs twice exactly when both edges exist.
+    q = np.flatnonzero(_gather(cand, bdst))
+    rev = np.flatnonzero(np.repeat(cand, out_deg) & ~a_dst)
+    keys = np.concatenate((bdst[q], src[rev])).astype(np.int64)
     keys *= n
-    keys += np.concatenate((bsrc, dst[a_to_b]))
+    keys += np.concatenate((bsrc[q], dst[rev]))
     keys.sort()
     hits = keys[1:][keys[1:] == keys[:-1]]
     corr = np.bincount(hits // n, minlength=n)
-    vb = vb0.astype(np.int64) - corr
 
-    xs = np.flatnonzero(a_mask).astype(np.int64)
-    return RootScores(xs=xs, a=a_vec[xs], vb=vb[xs], ell=ell)
+    xs = np.flatnonzero(cand).astype(np.int64)
+    return RootScores(xs=xs, a=a_vec[xs], vb=vb0[xs] - corr[xs], ell=ell)
 
 
 def select_root(scores: RootScores) -> RootScore:

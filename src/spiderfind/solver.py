@@ -123,7 +123,7 @@ def find_spider(
     h = build_extension_graph(q)
     ht = truncate_for_coloring(h, ell)
     coloring = vizing_color(ht)
-    cls = largest_color_class(ht, coloring)
+    cls = largest_color_class(coloring)
     s = int(cls.shape[0])
     base_legs = tuple(
         (int(ht.leaf[i]), int(ht.mid[i])) for i in cls.tolist()

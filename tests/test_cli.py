@@ -282,6 +282,27 @@ class TestBench:
         first = lines[1].split("\t")
         assert first[0] == "50" and first[1] == "200" and first[2] == "2"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--repeats", "0"], "repeats must be >= 1"),
+            (["--repeats", "-3"], "repeats must be >= 1"),
+            (["--ell", "0"], "ell must be >= 1"),
+            (["--sizes", "0"], "size 0 must be > 2l = 4"),
+            (["--sizes", "50,4"], "size 4 must be > 2l = 4"),
+        ],
+    )
+    def test_bad_inputs_are_usage_errors_before_output(
+        self, capsys, monkeypatch, flags, message
+    ):
+        code, out, err = run(
+            capsys, monkeypatch,
+            ["bench", "--ell", "2", "--sizes", "50", *flags],
+        )
+        assert code == 64
+        assert out == ""
+        assert err == f"usage error: {message}\n"
+
 
 class TestIOErrors:
     def test_missing_input_file(self, capsys, monkeypatch):

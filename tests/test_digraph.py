@@ -23,7 +23,7 @@ from reference import (
     from_pairs,
     reference_write_edge_list,
 )
-from spiderfind.digraph import _GATHER_CHUNK, _gather, _parse_lines
+from spiderfind.digraph import _GATHER_CHUNK, _bincount, _gather, _parse_lines
 from strategies import digraphs
 
 # Vertex counts where the widest id gains a digit, and a few between.
@@ -429,3 +429,20 @@ class TestGather:
         out = _gather(table, idx)
         assert out.dtype == table.dtype
         assert np.array_equal(out, table[idx])
+
+
+class TestBincount:
+    @pytest.mark.parametrize("size", [0, 1, _C - 1, _C, _C + 1, 3 * _C + 7])
+    @pytest.mark.parametrize("n", [1000, _C + 5])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_bincount(self, size, n, weighted):
+        rng = np.random.default_rng(size)
+        idx = rng.integers(0, n, size=size, dtype=np.int32)
+        # Integer-valued weights, as score_roots passes, sum exactly in
+        # any order.
+        weights = rng.integers(0, 2**20, size=size).astype(np.float64)
+        if not weighted:
+            weights = None
+        out = _bincount(idx, n, weights)
+        assert out.dtype == (np.float64 if weighted else np.int64)
+        assert np.array_equal(out, np.bincount(idx, weights, minlength=n))

@@ -148,20 +148,20 @@ class TestLargestClass:
     def test_triangle_smallest_color_wins(self):
         h = make_h([(0, 1), (1, 2), (0, 2)])
         col = vizing_color(h)
-        cls = largest_color_class(h, col)
+        cls = largest_color_class(col)
         assert cls.shape[0] == 1
         assert int(col.color_of[cls[0]]) == 0
 
     def test_monochromatic_matching(self):
         h = make_h([(0, 1), (2, 3), (4, 5)])
         col = vizing_color(h)
-        cls = largest_color_class(h, col)
+        cls = largest_color_class(col)
         assert cls.tolist() == [0, 1, 2]
 
     def test_seven_edge_path_class_at_least_three(self):
         h = make_h([(i, i + 1) for i in range(7)])
         col = vizing_color(h)
-        cls = largest_color_class(h, col)
+        cls = largest_color_class(col)
         assert cls.shape[0] >= 3
 
     @given(undirected_graphs())
@@ -169,7 +169,7 @@ class TestLargestClass:
     def test_class_is_matching_and_pigeonhole(self, edges):
         h = make_h(edges)
         col = vizing_color(h)
-        cls = largest_color_class(h, col)
+        cls = largest_color_class(col)
         if not edges:
             assert cls.shape[0] == 0
             return
@@ -191,7 +191,7 @@ class TestPayloadSoundness:
         h = build_extension_graph(q)
         ht = truncate_for_coloring(h, ell)
         col = vizing_color(ht)
-        cls = largest_color_class(ht, col)
+        cls = largest_color_class(col)
         legs = tuple((int(ht.leaf[i]), int(ht.mid[i])) for i in cls)
         # An empty class has no legs to check; verify_spider needs l >= 1.
         if legs:

@@ -9,6 +9,8 @@ from spiderfind import (
     RootScores,
     compute_q_paths,
     gen_complete_digraph,
+    gen_random_out_regular,
+    gen_regular_tournament,
     partition_by_in_degree,
     score_roots,
     select_root,
@@ -31,6 +33,52 @@ def manual_partition(n, a_vertices):
 
 def vertex_set(mask):
     return set(np.flatnonzero(mask).tolist())
+
+
+def brute_scores(g, a_mask, ell):
+    """{x: (upper, a_x, vb_x)} for every x in A, from in-neighbor sets.
+
+    `upper` is 2l*a_x + vb_x with the antiparallel correction left out.
+    """
+    in_nbrs = [set() for _ in range(g.n)]
+    for u, v in g.edges():
+        in_nbrs[v].add(u)
+    out = {}
+    for x in np.flatnonzero(a_mask).tolist():
+        b_in = [b for b in in_nbrs[x] if not a_mask[b]]
+        a_x = len(in_nbrs[x]) - len(b_in)
+        upper = 2 * ell * a_x + sum(len(in_nbrs[b]) for b in b_in)
+        vb_x = sum(len(in_nbrs[b] - {x}) for b in b_in)
+        out[x] = (upper, a_x, vb_x)
+    return out
+
+
+def assert_exact_candidates(g, a_mask, ell):
+    """score_roots returns exactly the A vertices whose upper bound reaches
+    the largest lower bound upper - out_degree over A, each scored
+    exactly, and every other A vertex scores strictly below the maximum.
+    """
+    scores = score_roots(g, a_mask, ell)
+    brute = brute_scores(g, a_mask, ell)
+    out_deg = g.out_degrees
+    floor = max(up - int(out_deg[x]) for x, (up, _, _) in brute.items())
+    cand = [x for x, (up, _, _) in brute.items() if up >= floor]
+    assert scores.xs.tolist() == cand
+    assert scores.a.tolist() == [brute[x][1] for x in cand]
+    assert scores.vb.tolist() == [brute[x][2] for x in cand]
+    assert scores.score.tolist() == [2 * ell * brute[x][1] + brute[x][2] for x in cand]
+    top = int(scores.score.max())
+    kept = set(cand)
+    for x, (_, a_x, vb_x) in brute.items():
+        if x not in kept:
+            assert 2 * ell * a_x + vb_x < top
+    return scores, brute
+
+
+def circulant(n, d):
+    """u -> u+1, ..., u+d (mod n): every in- and out-degree is d."""
+    rows = (np.arange(n)[:, None] + np.arange(1, d + 1)) % n
+    return Digraph(n, np.arange(n + 1) * d, rows.ravel())
 
 
 class TestPartition:
@@ -103,51 +151,76 @@ class TestScoreRoots:
     def test_matches_bruteforce(self, g_ell):
         g, ell = g_ell
         a_mask = partition_by_in_degree(g, ell)
-        scores = score_roots(g, a_mask, ell)
+        scores, brute = assert_exact_candidates(g, a_mask, ell)
         a_set = vertex_set(a_mask)
         b_set = vertex_set(~a_mask)
         for entry in scores:
             assert entry.a_x == brute_a_count(g, entry.x, a_set)
             assert entry.vb_x == brute_vb_count(g, entry.x, b_set)
-            assert entry.score == 2 * ell * entry.a_x + entry.vb_x
+        # Over all of A, not just the candidates: highest score, smallest id.
+        best = max(brute, key=lambda x: (2 * ell * brute[x][1] + brute[x][2], -x))
+        assert select_root(scores).x == best
+
+    @pytest.mark.parametrize(
+        "g, ell",
+        [
+            (gen_complete_digraph(5), 2),
+            (gen_complete_digraph(7), 3),
+            (gen_regular_tournament(9, seed=4), 2),
+            (gen_regular_tournament(13, seed=1), 3),
+            (circulant(11, 4), 2),
+            (circulant(30, 6), 3),
+        ],
+    )
+    def test_all_ties_keep_every_a_vertex(self, g, ell):
+        a_mask = partition_by_in_degree(g, ell)
+        scores, _ = assert_exact_candidates(g, a_mask, ell)
+        assert scores.xs.tolist() == np.flatnonzero(a_mask).tolist()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pruning_drops_vertices_that_cannot_win(self, seed):
+        g = gen_random_out_regular(5000, 20, seed)
+        a_mask = partition_by_in_degree(g, 10)
+        scores = score_roots(g, a_mask, 10)
+        assert 0 < len(scores) < a_mask.sum()
+
+    def test_empty_a_class(self):
+        g = gen_complete_digraph(5)
+        scores = score_roots(g, np.zeros(5, dtype=bool), 2)
+        assert len(scores) == 0
 
     def test_exact_at_large_n_with_planted_antiparallel_pairs(self):
         # At n = 50,000 the pair keys x*n + b exceed the int32 range.  The
-        # graph is 2-out-regular; 500 disjoint vertex pairs point at each
-        # other, so many B -> A edges need the antiparallel correction.
-        n, ell, n_pairs = 50_000, 1, 500
-        rng = np.random.default_rng(20261018)
-        src = np.repeat(np.arange(n, dtype=np.int64), 2).reshape(n, 2)
-        dst = (src + rng.integers(1, n, size=(n, 2))) % n
-        pairs = rng.permutation(n)[: 2 * n_pairs].reshape(n_pairs, 2)
-        dst[pairs[:, 0], 0] = pairs[:, 1]
-        dst[pairs[:, 1], 0] = pairs[:, 0]
-        for v in np.flatnonzero(dst[:, 0] == dst[:, 1]):
-            while dst[v, 1] in (v, dst[v, 0]):
-                dst[v, 1] = rng.integers(n)
-        g = Digraph.from_edge_arrays(n, src.ravel(), dst.ravel())
+        # graph is 2-out-regular and made of 6,250 groups of eight, linked
+        # in a cycle and randomly relabeled.  Each group's hub z has an
+        # antiparallel pair with a B vertex, and scores 9 against an upper
+        # bound of 10; the other A vertices have upper bounds of at most 2,
+        # so every hub is a candidate and needs the correction.
+        n_groups, ell = 6_250, 1
+        n = 8 * n_groups
+        z, b, y1, y2, s11, s12, s21, s22 = (
+            np.arange(n_groups) * 8 + k for k in range(8)
+        )
+        # The next group's hub and first y, around the cycle.
+        z_next, y1_next = np.roll(z, -1), np.roll(y1, -1)
+        pairs = [
+            (s11, y1), (s11, z), (s12, y1), (s12, z),
+            (s21, y2), (s21, z), (s22, y2), (s22, z),
+            (y1, z), (y1, z_next), (y2, z), (y2, z_next),
+            (z, b), (z, y1_next), (b, z), (b, z_next),
+        ]
+        perm = np.random.default_rng(20261018).permutation(n)
+        src = perm[np.concatenate([u for u, _ in pairs])]
+        dst = perm[np.concatenate([v for _, v in pairs])]
+        g = Digraph.from_edge_arrays(n, src, dst)
         a_mask = partition_by_in_degree(g, ell)
-        scores = score_roots(g, a_mask, ell)
+        scores, brute = assert_exact_candidates(g, a_mask, ell)
 
-        in_nbrs = {v: set() for v in range(n)}
-        for u, v in g.edges():
-            in_nbrs[v].add(u)
-        xs = np.flatnonzero(a_mask).tolist()
-        want_a = [sum(1 for u in in_nbrs[x] if a_mask[u]) for x in xs]
-        want_vb = [
-            sum(len(in_nbrs[b] - {x}) for b in in_nbrs[x] if not a_mask[b])
-            for x in xs
-        ]
-        assert scores.xs.tolist() == xs
-        assert scores.a.tolist() == want_a
-        assert scores.vb.tolist() == want_vb
-        corrected = [
-            (x, b)
-            for x, b in pairs.tolist() + pairs[:, ::-1].tolist()
-            if a_mask[x] and not a_mask[b]
-        ]
-        assert len(corrected) >= 100
-        assert max(x for x, _ in corrected) * n > 2**31
+        hubs = sorted(perm[z].tolist())
+        assert scores.xs.tolist() == hubs
+        assert set(scores.score.tolist()) == {9}
+        assert len(brute) > len(hubs)
+        assert max(hubs) * n > 2**31
 
 
 class TestSelectRoot:

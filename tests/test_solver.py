@@ -231,7 +231,7 @@ def _wide_palette(vizing_color, ell):
 
 
 def _empty_class(largest_color_class, ell):
-    return lambda h, col: largest_color_class(h, col)[:0]
+    return lambda col: largest_color_class(col)[:0]
 
 
 STAGE_DEFECTS = [
