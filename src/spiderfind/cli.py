@@ -68,7 +68,6 @@ def _build_parser() -> _Parser:
 
     solve = sub.add_parser("solve", help="find a (2,l)-spider")
     solve.add_argument("--ell", type=int, required=True)
-    solve.add_argument("--mode", choices=("checked", "fast"), default="checked")
     solve.add_argument("--trace", action="store_true")
     solve.add_argument("--input", "-i", default="-")
     solve.add_argument("--output", "-o", default="-")
@@ -96,7 +95,7 @@ def _build_parser() -> _Parser:
     search.add_argument("--seed", type=int, default=0)
     search.add_argument("--cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP)
 
-    bench = sub.add_parser("bench", help="time fast-mode solves on a size ladder")
+    bench = sub.add_parser("bench", help="time solves on a size ladder")
     bench.add_argument("--ell", type=int, default=25)
     bench.add_argument("--sizes", default="10000,30000,100000")
     bench.add_argument("--seed", type=int, default=0)
@@ -141,7 +140,7 @@ def _cmd_solve(args) -> int:
     g = parse_edge_list(_read_text(args.input))
     dump = (lambda text: sys.stderr.write(text)) if args.trace else None
     try:
-        outcome = find_spider(g, args.ell, mode=args.mode, dump=dump)
+        outcome = find_spider(g, args.ell, dump=dump)
     except PreconditionOutDegree as exc:
         sys.stderr.write(f"solve: {exc}\n")
         return EXIT_PRECONDITION
@@ -214,7 +213,7 @@ def _cmd_bench(args) -> int:
         best_ms = None
         for _ in range(args.repeats):
             t0 = time.perf_counter()
-            outcome = find_spider(g, ell, mode="fast")
+            outcome = find_spider(g, ell)
             elapsed = (time.perf_counter() - t0) * 1000.0
             best_ms = elapsed if best_ms is None else min(best_ms, elapsed)
         t = outcome.trace

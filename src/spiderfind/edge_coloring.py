@@ -9,10 +9,10 @@ exists and any color class is a matching of independently orientable legs.
 The coloring itself follows the classical constructive proof of Vizing's
 theorem: insert edges one at a time; when no color is free at both
 endpoints, build a fan at one endpoint, fold it, and when folding is blocked
-flip a two-color alternating path first.  A largest color class of size s
-always covers at least |E(H)| / (Delta+1) edges by pigeonhole.  The solver
-records and enforces those bounds; vizing_color checks that its coloring is
-proper on every call, whatever the solve mode.
+flip a two-color alternating path first.  By pigeonhole, a largest color
+class of the colored graph H_t holds at least |E(H_t)| / (Delta+1) of its
+edges.  The solver records and enforces those bounds; vizing_color checks
+that its coloring is proper on every call.
 
 Every nondeterministic choice in the textbook proof (which free color, which
 fan vertex, which chain) is pinned to the lowest index, so colorings are

@@ -4,17 +4,15 @@ Pipeline: regularize to exact out-degree d = 2l, partition by in-degree,
 pick the root maximizing d*|A_r| + |VB_r|, classify strong extenders,
 enumerate surviving 2-paths, edge-color the extension graph and lift the
 largest color class to a base spider, then greedily extend with strong
-extenders until l legs.  No stage takes the solve mode: every inequality
-the construction relies on is recorded in the trace here, and only here,
-and enforced in one loop.  A violated inequality raises (it can only mean a
-bug, never bad input).  "checked" mode enforces every inequality and
-re-verifies the spider; "fast" mode enforces only a + c + s >= l, the one
-the output depends on, and records the rest.
+extenders until l legs.  Every inequality the construction relies on is
+recorded in the trace here, and only here, and enforced in one loop on
+every run; each is a theorem, so a violation can only mean a bug, never bad
+input.  The spider is always re-verified against the input.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -37,16 +35,12 @@ from .root_selection import (
 from .spider import Spider, verify_spider
 
 __all__ = [
-    "SolveMode",
     "ProofCheck",
     "SolveTrace",
     "SolveOutcome",
     "find_spider",
     "explain_trace",
 ]
-
-SolveMode = Literal["checked", "fast"]
-
 
 class ProofCheck(NamedTuple):
     name: str
@@ -83,18 +77,18 @@ def _check(name: str, lhs: int, rhs: int, ge: bool = True) -> ProofCheck:
 def find_spider(
     g: Digraph,
     ell: int,
-    mode: SolveMode = "checked",
+    mode: str = "checked",
     dump: Optional[Callable[[str], None]] = None,
 ) -> SolveOutcome:
     """Construct a (2,ell)-spider in any graph with min out-degree >= 2*ell.
 
-    The returned spider is expressed in the original graph's vertices and,
-    in checked mode, re-verified against the original graph.  `dump`, when
-    given, receives the colored extension graph in 'u v color' lines.
+    The returned spider is expressed in the original graph's vertices and
+    re-verified against the original graph.  `dump`, when given, receives
+    the colored extension graph in 'u v color' lines.  `mode` accepts only
+    "checked", the one solve mode; any other value raises ValueError.
     """
-    if mode not in ("checked", "fast"):
+    if mode != "checked":
         raise ValueError(f"unknown mode {mode!r}")
-    checked = mode == "checked"
     if ell < 1:
         raise ValueError("ell must be >= 1")
     d = 2 * ell
@@ -131,7 +125,7 @@ def find_spider(
     if dump is not None:
         dump(format_coloring_dump(ht, coloring))
 
-    checks = [
+    checks = (
         _check("score >= d^2 - d", root_score.score, d * d - d),
         _check(
             "|Q_r| >= d^2 - d - (a+c)(4l-1)",
@@ -140,12 +134,11 @@ def find_spider(
         ),
         _check("max_deg(H) <= 2l - 2", h.max_degree, 2 * ell - 2, ge=False),
         _check("palette <= 2l - 1", coloring.palette, 2 * ell - 1, ge=False),
-    ]
-    if not ht.truncated:
-        checks.append(_check("s(2l-1) >= |Q_r|", s * (2 * ell - 1), q_size))
-    enough_legs = _check("a + c + s >= l", a + c + s, ell)
-    checks.append(enough_legs)
-    for chk in checks if checked else (enough_legs,):
+        # Pigeonhole: a largest class covers |E(H_t)| / palette edges.
+        _check("s(2l-1) >= |E(H_t)|", s * (2 * ell - 1), ht.num_edges),
+        _check("a + c + s >= l", a + c + s, ell),
+    )
+    for chk in checks:
         if not chk.passed:
             raise InternalInvariantError(
                 f"proof inequality failed: {chk.name} ({chk.lhs} vs {chk.rhs})"
@@ -158,12 +151,11 @@ def find_spider(
         base = Spider(root=int(r), legs=base_legs)
         spider = greedy_extend(paths, r, base, f_seq)
 
-    if checked:
-        report = verify_spider(g, spider, ell)
-        if report is not None:
-            raise InternalInvariantError(
-                f"constructed spider failed verification: {report}"
-            )
+    report = verify_spider(g, spider, ell)
+    if report is not None:
+        raise InternalInvariantError(
+            f"constructed spider failed verification: {report}"
+        )
 
     trace = SolveTrace(
         d=d,
@@ -174,7 +166,7 @@ def find_spider(
         q_size=q_size,
         vb_r=root_score.vb_x,
         a_r_size=root_score.a_x,
-        checks=tuple(checks),
+        checks=checks,
         truncated=ht.truncated,
     )
     return SolveOutcome(spider=spider, trace=trace)

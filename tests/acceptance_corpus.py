@@ -1,9 +1,9 @@
 """Shared corpus for the acceptance suite.
 
-Criterion 1 solves the whole corpus in checked mode, criterion 3 inspects
-the recorded inequality checks from the same runs, and criterion 7 repeats
-the corpus with identical seeds and compares result fingerprints, so the
-corpus lives in one module and the first run is cached.
+Criterion 1 solves the whole corpus, criterion 3 inspects the recorded
+inequality checks from the same runs, and criterion 7 repeats the corpus
+with identical seeds and compares result fingerprints, so the corpus lives
+in one module and the first run is cached.
 
 Run as a script, it solves the whole corpus and prints one JSON line per
 spec (spec, verdict, check names, failed checks, digest, error), so two
@@ -58,7 +58,7 @@ def run_spec(spec):
             g = gen_complete_digraph(n)
         else:
             g = gen_random_out_regular(n, 2 * ell, seed)
-        outcome = find_spider(g, ell, mode="checked")
+        outcome = find_spider(g, ell)
         report = verify_spider(g, outcome.spider, ell)
         text = format_spider(outcome.spider) + explain_trace(outcome.trace)
         digest = hashlib.sha256(text.encode()).hexdigest()
@@ -69,18 +69,16 @@ def run_spec(spec):
             "violation": None if report is None else str(report),
             "failed_checks": failed_checks,
             "check_names": [c.name for c in outcome.trace.checks],
-            "truncated": outcome.trace.truncated,
             "digest": digest,
             "error": None,
         }
-    except Exception as exc:  # checked-mode invariant raises land here
+    except Exception as exc:  # invariant violations land here
         return {
             "spec": spec,
             "verified": False,
             "violation": None,
             "failed_checks": [],
             "check_names": [],
-            "truncated": False,
             "digest": "",
             "error": f"{type(exc).__name__}: {exc}",
         }

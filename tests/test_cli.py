@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spiderfind.solver as solver
 from spiderfind import (
+    find_spider,
+    format_spider,
     gen_complete_digraph,
+    gen_random_out_regular,
     parse_edge_list,
     parse_spider,
     verify_spider,
@@ -15,7 +19,7 @@ from spiderfind import (
 )
 from spiderfind.cli import main
 from strategies import digraphs
-from test_solver import antiparallel_triangle_instance
+from test_solver import _empty_class, antiparallel_triangle_instance
 
 
 def _stdin(data):
@@ -141,24 +145,39 @@ class TestSolve:
         assert err == "usage error: instance too large: out of memory\n"
 
     def test_failed_inequality_exits_70(self, capsys, monkeypatch):
-        graph_text = write_edge_list(antiparallel_triangle_instance())
+        monkeypatch.setattr(
+            solver, "largest_color_class", _empty_class(solver.largest_color_class, 2)
+        )
         code, out, err = run(
-            capsys, monkeypatch,
-            ["solve", "--ell", "2", "--mode", "checked"], stdin=graph_text,
+            capsys, monkeypatch, ["solve", "--ell", "2"],
+            stdin=write_edge_list(gen_random_out_regular(18, 4, seed=1)),
         )
         assert code == 70
         assert out == ""
         assert err.startswith(
             "internal invariant violation: proof inequality failed: "
-            "s(2l-1) >= |Q_r|"
+            "s(2l-1) >= |E(H_t)| ("
         )
-        code, out, _ = run(
-            capsys, monkeypatch,
-            ["solve", "--ell", "2", "--mode", "fast"], stdin=graph_text,
+
+    def test_antiparallel_paths_solve(self, capsys, monkeypatch):
+        # Six 2-paths into the root collapse to a 3-edge H.
+        g = antiparallel_triangle_instance()
+        code, out, err = run(
+            capsys, monkeypatch, ["solve", "--ell", "2"], stdin=write_edge_list(g)
         )
         assert code == 0
-        spider = parse_spider(out)
-        assert verify_spider(antiparallel_triangle_instance(), spider, 2) is None
+        assert err == ""
+        assert out == format_spider(find_spider(g, 2).spider)
+        assert verify_spider(g, parse_spider(out), 2) is None
+
+    def test_mode_flag_is_gone(self, capsys, monkeypatch):
+        code, out, err = run(
+            capsys, monkeypatch, ["solve", "--ell", "1", "--mode", "fast"],
+            stdin=write_edge_list(gen_complete_digraph(3)),
+        )
+        assert code == 64
+        assert out == ""
+        assert err.startswith("usage error: unrecognized arguments: --mode fast")
 
 
 class TestVerify:
@@ -379,7 +398,7 @@ _PAYLOAD = st.one_of(
 
 class TestFuzz:
     @given(
-        command=st.sampled_from(["solve-checked", "solve-fast", "verify", "oracle"]),
+        command=st.sampled_from(["solve", "verify", "oracle"]),
         ell=st.integers(-1, 3).map(str) | _INT,
         graph=_PAYLOAD,
         spider=_PAYLOAD,
@@ -397,7 +416,7 @@ class TestFuzz:
         elif command == "oracle":
             argv = ["oracle", "--ell", ell]
         else:
-            argv = ["solve", "--ell", ell, "--mode", command.split("-")[1]]
+            argv = ["solve", "--ell", ell]
         code, out, err = _run_isolated(argv, graph)
         assert code in {0, 1, 2, 3, 64, 65, 70}
         assert "Traceback" not in err

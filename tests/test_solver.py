@@ -15,7 +15,6 @@ from spiderfind import (
     InternalInvariantError,
     PreconditionOutDegree,
     QPaths,
-    ViolationKind,
     explain_trace,
     find_spider,
     format_spider,
@@ -55,13 +54,8 @@ class TestFindSpider:
             find_spider(g, 0)
         with pytest.raises(ValueError):
             find_spider(g, 1, mode="turbo")
-
-    def test_modes_agree(self):
-        g = gen_random_out_regular(120, 8, seed=4)
-        checked = find_spider(g, 4, mode="checked")
-        fast = find_spider(g, 4, mode="fast")
-        assert checked.spider == fast.spider
-        assert checked.trace == fast.trace
+        with pytest.raises(ValueError, match="unknown mode 'fast'"):
+            find_spider(g, 1, mode="fast")
 
     def test_deterministic(self):
         g = gen_random_out_regular(300, 10, seed=9)
@@ -86,7 +80,7 @@ class TestFindSpider:
             "|Q_r| >= d^2 - d - (a+c)(4l-1)",
             "max_deg(H) <= 2l - 2",
             "palette <= 2l - 1",
-            "s(2l-1) >= |Q_r|",
+            "s(2l-1) >= |E(H_t)|",
             "a + c + s >= l",
         ]
         assert not t.truncated
@@ -99,11 +93,15 @@ class TestFindSpider:
         for chk in t.checks:
             assert type(chk.lhs) is int and type(chk.rhs) is int
 
-    def test_truncated_run_skips_q_coverage_check(self):
+    def test_truncated_run_records_coverage_check(self):
         g = gen_random_out_regular(200, 10, seed=3)
         out = find_spider(g, 5)
         assert out.trace.truncated
-        assert all(c.name != "s(2l-1) >= |Q_r|" for c in out.trace.checks)
+        coverage = [c for c in out.trace.checks if c.name == "s(2l-1) >= |E(H_t)|"]
+        # H_t holds exactly the cap (2l-1)(l-1)+1 = 37 edges.
+        assert [(c.lhs, c.rhs, c.passed) for c in coverage] == [
+            (9 * out.trace.s, 37, True)
+        ]
         assert verify_spider(g, out.spider, 5) is None
 
     def test_dump_callback(self):
@@ -126,7 +124,7 @@ class TestFindSpider:
     @settings(max_examples=80)
     def test_totality_on_regular_inputs(self, g_ell):
         g, ell = g_ell
-        out = find_spider(g, ell, mode="checked")
+        out = find_spider(g, ell)
         assert verify_spider(g, out.spider, ell) is None
         assert len(out.spider.legs) == ell
 
@@ -134,20 +132,19 @@ class TestFindSpider:
     @settings(max_examples=60)
     def test_totality_on_irregular_inputs(self, g_ell):
         g, ell = g_ell
-        out = find_spider(g, ell, mode="checked")
+        out = find_spider(g, ell)
         assert verify_spider(g, out.spider, ell) is None
 
 
 def antiparallel_triangle_instance() -> Digraph:
-    """4-out-regular graph where the path-count coverage check fails.
+    """4-out-regular graph with more surviving 2-paths than H has edges.
 
     Vertices 1, 2, 3 point at the root 0 and at each other in both
     directions, all with in-degree 2, so their six 2-paths into 0 survive
     the strong-extender exclusion but collapse to a 3-edge triangle in the
-    extension graph.  A triangle's largest color class has one edge, hence
-    s(2l-1) = 3 < 6 = |Q_r|: the coverage inequality counts ordered paths
-    but color classes cover undirected edges.  The final guarantee
-    a + c + s >= l is unaffected and a valid spider still comes out.
+    extension graph.  A triangle's largest color class has one edge, so
+    s(2l-1) = 3 falls short of |Q_r| = 6 but covers |E(H_t)| = 3: color
+    classes cover undirected edges, not ordered paths.
     """
     edges = [(0, 4), (0, 5), (0, 6), (0, 7)]
     edges += [(1, 2), (1, 3), (1, 0), (1, 8)]
@@ -163,26 +160,18 @@ def antiparallel_triangle_instance() -> Digraph:
     return from_pairs(14, edges)
 
 
-class TestCoverageCheckBoundary:
-    """Opposite-orientation path pairs can defeat s(2l-1) >= |Q_r|.
+class TestAntiparallelPaths:
+    """Opposite-orientation path pairs share one edge of H; the coverage
+    check counts those edges, so every check holds and the spider comes out."""
 
-    The inequality is enforced in checked mode as specified; this pins the
-    one known configuration where it fires on a correct implementation,
-    and shows totality is unharmed.
-    """
-
-    def test_fast_mode_solves_and_records_failure(self):
+    def test_solves_and_every_check_passes(self):
         g = antiparallel_triangle_instance()
-        out = find_spider(g, 2, mode="fast")
+        out = find_spider(g, 2)
         assert verify_spider(g, out.spider, 2) is None
-        failed = [c for c in out.trace.checks if not c.passed]
-        assert [c.name for c in failed] == ["s(2l-1) >= |Q_r|"]
+        assert all(c.passed for c in out.trace.checks)
         assert out.trace.q_size == 6 and out.trace.s == 1
-
-    def test_checked_mode_raises(self):
-        g = antiparallel_triangle_instance()
-        with pytest.raises(InternalInvariantError, match=r"s\(2l-1\)"):
-            find_spider(g, 2, mode="checked")
+        coverage = [c for c in out.trace.checks if c.name == "s(2l-1) >= |E(H_t)|"]
+        assert [(c.lhs, c.rhs) for c in coverage] == [(3, 3)]
 
 
 def few_extenders_instance() -> Digraph:
@@ -244,7 +233,7 @@ STAGE_DEFECTS = [
      few_extenders_instance, 3),
     ("vizing_color", _wide_palette, "palette <= 2l - 1",
      few_extenders_instance, 3),
-    ("largest_color_class", _empty_class, "s(2l-1) >= |Q_r|",
+    ("largest_color_class", _empty_class, "s(2l-1) >= |E(H_t)|",
      lambda: gen_random_out_regular(18, 4, seed=1), 2),
 ]
 
@@ -273,26 +262,27 @@ class TestOneEnforcementPoint:
             params = inspect.signature(getattr(solver, stage)).parameters
             assert not {"checked", "mode"} & set(params), stage
 
-    def test_fast_mode_enforces_enough_legs(self, monkeypatch):
+    def test_enough_legs_is_enforced(self, monkeypatch):
+        # No extenders and an edgeless H pass every check but the last.
         none = np.empty(0, dtype=np.int64)
         monkeypatch.setattr(
             solver,
             "strong_extender_pool",
             lambda paths, r, ell, a_mask: ExtenderPool(a_r=none, c_r=none),
         )
+        build_extension_graph = solver.build_extension_graph
         monkeypatch.setattr(
             solver,
-            "largest_color_class",
-            _empty_class(solver.largest_color_class, 2),
+            "build_extension_graph",
+            lambda q: build_extension_graph(QPaths(q.first[:0], q.middle[:0])),
         )
         with pytest.raises(
             InternalInvariantError,
-            match=r"^proof inequality failed: a \+ c \+ s >= l \(",
+            match=r"^proof inequality failed: a \+ c \+ s >= l \(0 vs 1\)",
         ):
-            find_spider(gen_complete_digraph(5), 2, mode="fast")
+            find_spider(gen_random_out_regular(30, 2, seed=0), 1)
 
-    @pytest.mark.parametrize("mode", ["checked", "fast"])
-    def test_coloring_self_check_runs_in_both_modes(self, monkeypatch, mode):
+    def test_coloring_self_check_runs(self, monkeypatch):
         calls = []
         check_proper = edge_coloring._check_proper
 
@@ -301,7 +291,7 @@ class TestOneEnforcementPoint:
             return check_proper(*args)
 
         monkeypatch.setattr(edge_coloring, "_check_proper", spied)
-        out = find_spider(gen_random_out_regular(200, 10, seed=3), 5, mode=mode)
+        out = find_spider(gen_random_out_regular(200, 10, seed=3), 5)
         assert out.trace.s >= 5
         assert len(calls) == 1
 
@@ -320,20 +310,16 @@ class TestOneEnforcementPoint:
             InternalInvariantError,
             match="^" + re.escape(f"proof inequality failed: {check} ("),
         ):
-            find_spider(g, ell, mode="checked")
-        out = find_spider(g, ell, mode="fast")
-        assert check in [c.name for c in out.trace.checks if not c.passed]
-        assert verify_spider(g, out.spider, ell) is None
+            find_spider(g, ell)
 
-    @pytest.mark.parametrize("mode", ["checked", "fast"])
-    def test_empty_a_class_raises(self, monkeypatch, mode):
+    def test_empty_a_class_raises(self, monkeypatch):
         monkeypatch.setattr(
             solver,
             "partition_by_in_degree",
             lambda g, ell: np.zeros(g.n, dtype=bool),
         )
         with pytest.raises(EmptyA):
-            find_spider(gen_complete_digraph(5), 2, mode=mode)
+            find_spider(gen_complete_digraph(5), 2)
 
     def test_leg_through_root_fails_verification(self, monkeypatch):
         # Paths 0 -> 1 -> 0 and 2 -> 3 -> 0 at root 0 touch the root and
@@ -348,9 +334,7 @@ class TestOneEnforcementPoint:
             InternalInvariantError,
             match="^constructed spider failed verification: root 0",
         ):
-            find_spider(g, 2, mode="checked")
-        out = find_spider(g, 2, mode="fast")
-        assert verify_spider(g, out.spider, 2).kind is ViolationKind.ROOT_IN_LEG
+            find_spider(g, 2)
 
 
 class TestOneRootView:
