@@ -1,4 +1,4 @@
-"""Command-line surface: generate, solve, verify, oracle, search, bench.
+"""Command-line surface: generate, solve, verify, oracle, search.
 
 stdout carries machine-parseable payloads only; diagnostics go to stderr.
 Exit codes: 0 success, 1 oracle found no spider, 2 solve precondition not
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from typing import Optional, Sequence
 
 from .digraph import (
@@ -94,12 +93,6 @@ def _build_parser() -> _Parser:
     search.add_argument("--trials", type=int, default=1)
     search.add_argument("--seed", type=int, default=0)
     search.add_argument("--cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP)
-
-    bench = sub.add_parser("bench", help="time solves on a size ladder")
-    bench.add_argument("--ell", type=int, default=25)
-    bench.add_argument("--sizes", default="10000,30000,100000")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--repeats", type=int, default=1)
     return parser
 
 
@@ -138,9 +131,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve(args) -> int:
     g = parse_edge_list(_read_text(args.input))
-    dump = (lambda text: sys.stderr.write(text)) if args.trace else None
     try:
-        outcome = find_spider(g, args.ell, dump=dump)
+        outcome = find_spider(g, args.ell)
     except PreconditionOutDegree as exc:
         sys.stderr.write(f"solve: {exc}\n")
         return EXIT_PRECONDITION
@@ -195,41 +187,12 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok]
-    ell = args.ell
-    # Every input is checked before the header, so a usage error leaves
-    # stdout empty.
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    if args.repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    for n in sizes:
-        if n <= 2 * ell:
-            raise ValueError(f"size {n} must be > 2l = {2 * ell}")
-    sys.stdout.write("n\tm\tell\tms\ta\tc\ts\n")
-    for idx, n in enumerate(sizes):
-        g = gen_random_out_regular(n, 2 * ell, args.seed + idx)
-        best_ms = None
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            outcome = find_spider(g, ell)
-            elapsed = (time.perf_counter() - t0) * 1000.0
-            best_ms = elapsed if best_ms is None else min(best_ms, elapsed)
-        t = outcome.trace
-        sys.stdout.write(
-            f"{n}\t{g.m}\t{ell}\t{best_ms:.1f}\t{t.a}\t{t.c}\t{t.s}\n"
-        )
-    return EXIT_OK
-
-
 _COMMANDS = {
     "generate": _cmd_generate,
     "solve": _cmd_solve,
     "verify": _cmd_verify,
     "oracle": _cmd_oracle,
     "search": _cmd_search,
-    "bench": _cmd_bench,
 }
 
 

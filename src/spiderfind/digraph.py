@@ -214,8 +214,8 @@ def _int_token(tok: str) -> int:
     return int(tok)
 
 
-def parse_edge_list(text) -> Digraph:
-    """Parse the edge-list interchange format from a string or file-like.
+def parse_edge_list(text: str) -> Digraph:
+    """Parse the edge-list interchange format from a string.
 
     First non-comment line is "n m"; the next m non-comment lines are "u v",
     one directed edge each, 0-indexed.  Lines starting with '#' and blank
@@ -226,8 +226,6 @@ def parse_edge_list(text) -> Digraph:
     any other text, and any invalid graph, goes through the line parser,
     which alone reports errors.
     """
-    if hasattr(text, "read"):
-        text = text.read()
     g = _parse_canonical(text)
     return g if g is not None else _parse_lines(text)
 

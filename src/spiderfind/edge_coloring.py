@@ -35,7 +35,6 @@ __all__ = [
     "truncate_for_coloring",
     "vizing_color",
     "largest_color_class",
-    "format_coloring_dump",
 ]
 
 
@@ -303,11 +302,3 @@ def largest_color_class(col: EdgeColoring) -> np.ndarray:
     c = int(np.argmax(counts))
     return np.flatnonzero(col.color_of == c)
 
-
-def format_coloring_dump(h: ExtensionGraph, col: EdgeColoring) -> str:
-    """Debug dump, one 'u v color' line per edge."""
-    lines = [
-        f"{int(u)} {int(v)} {int(c)}"
-        for u, v, c in zip(h.edge_u, h.edge_v, col.color_of)
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -12,14 +12,13 @@ input.  The spider is always re-verified against the input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .digraph import Digraph, extract_exact_outdegree_subgraph, min_out_degree
 from .edge_coloring import (
     build_extension_graph,
-    format_coloring_dump,
     largest_color_class,
     truncate_for_coloring,
     vizing_color,
@@ -74,17 +73,11 @@ def _check(name: str, lhs: int, rhs: int, ge: bool = True) -> ProofCheck:
     return ProofCheck(name=name, lhs=int(lhs), rhs=int(rhs), passed=passed)
 
 
-def find_spider(
-    g: Digraph,
-    ell: int,
-    mode: str = "checked",
-    dump: Optional[Callable[[str], None]] = None,
-) -> SolveOutcome:
+def find_spider(g: Digraph, ell: int, mode: str = "checked") -> SolveOutcome:
     """Construct a (2,ell)-spider in any graph with min out-degree >= 2*ell.
 
     The returned spider is expressed in the original graph's vertices and
-    re-verified against the original graph.  `dump`, when given, receives
-    the colored extension graph in 'u v color' lines.  `mode` accepts only
+    re-verified against the original graph.  `mode` accepts only
     "checked", the one solve mode; any other value raises ValueError.
     """
     if mode != "checked":
@@ -122,8 +115,6 @@ def find_spider(
     base_legs = tuple(
         (int(ht.leaf[i]), int(ht.mid[i])) for i in cls.tolist()
     )
-    if dump is not None:
-        dump(format_coloring_dump(ht, coloring))
 
     checks = (
         _check("score >= d^2 - d", root_score.score, d * d - d),
@@ -144,12 +135,9 @@ def find_spider(
                 f"proof inequality failed: {chk.name} ({chk.lhs} vs {chk.rhs})"
             )
 
-    if s >= ell:
-        spider = Spider(root=int(r), legs=base_legs[:ell])
-    else:
-        f_seq = np.concatenate((pool.a_r, pool.c_r))[: ell - s]
-        base = Spider(root=int(r), legs=base_legs)
-        spider = greedy_extend(paths, r, base, f_seq)
+    base = Spider(root=int(r), legs=base_legs[:ell])
+    f_seq = np.concatenate((pool.a_r, pool.c_r))[: ell - len(base.legs)]
+    spider = greedy_extend(paths, r, base, f_seq)
 
     report = verify_spider(g, spider, ell)
     if report is not None:
@@ -180,7 +168,7 @@ def explain_trace(t: SolveTrace) -> str:
         f"|Q_r| = {t.q_size}  |VB_r| = {t.vb_r}  |A_r| = {t.a_r_size}",
     ]
     if t.truncated:
-        lines.append("coloring instance was truncated to the l^2 cap")
+        lines.append("coloring instance was truncated to the (2l-1)(l-1)+1 cap")
     for chk in t.checks:
         op = ">=" if ">=" in chk.name else "<="
         status = "PASS" if chk.passed else "FAIL"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import spiderfind.solver as solver
 from spiderfind import (
+    explain_trace,
     find_spider,
     format_spider,
     gen_complete_digraph,
@@ -107,6 +108,26 @@ class TestSolve:
         assert code == 0
         assert "PASS" in err
         assert "PASS" not in out
+
+    def test_trace_is_explain_trace_only(self, capsys, monkeypatch):
+        # H_t is truncated to 37 edges here; none of them reach stderr.
+        g = gen_random_out_regular(200, 10, seed=3)
+        code, out, err = run(
+            capsys, monkeypatch, ["solve", "--ell", "5", "--trace"],
+            stdin=write_edge_list(g),
+        )
+        expected = find_spider(g, 5)
+        assert code == 0
+        assert out == format_spider(expected.spider)
+        assert err == explain_trace(expected.trace)
+
+    def test_empty_graph_is_usage_error(self, capsys, monkeypatch):
+        code, out, err = run(
+            capsys, monkeypatch, ["solve", "--ell", "1"], stdin="0 0\n"
+        )
+        assert code == 64
+        assert out == ""
+        assert err == "usage error: empty graph has no minimum out-degree\n"
 
     def test_parse_error_exits_65(self, capsys, monkeypatch):
         code, _, err = run(
@@ -288,41 +309,6 @@ class TestSearch:
             parse_edge_list(body)
 
 
-class TestBench:
-    def test_tsv_shape(self, capsys, monkeypatch):
-        code, out, _ = run(
-            capsys, monkeypatch,
-            ["bench", "--ell", "2", "--sizes", "50,100", "--seed", "1"],
-        )
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "n\tm\tell\tms\ta\tc\ts"
-        assert len(lines) == 3
-        first = lines[1].split("\t")
-        assert first[0] == "50" and first[1] == "200" and first[2] == "2"
-
-    @pytest.mark.parametrize(
-        "flags, message",
-        [
-            (["--repeats", "0"], "repeats must be >= 1"),
-            (["--repeats", "-3"], "repeats must be >= 1"),
-            (["--ell", "0"], "ell must be >= 1"),
-            (["--sizes", "0"], "size 0 must be > 2l = 4"),
-            (["--sizes", "50,4"], "size 4 must be > 2l = 4"),
-        ],
-    )
-    def test_bad_inputs_are_usage_errors_before_output(
-        self, capsys, monkeypatch, flags, message
-    ):
-        code, out, err = run(
-            capsys, monkeypatch,
-            ["bench", "--ell", "2", "--sizes", "50", *flags],
-        )
-        assert code == 64
-        assert out == ""
-        assert err == f"usage error: {message}\n"
-
-
 class TestIOErrors:
     def test_missing_input_file(self, capsys, monkeypatch):
         code, _, err = run(
@@ -452,8 +438,10 @@ class TestModuleEntry:
 
 class TestUsage:
     def test_unknown_command(self, capsys, monkeypatch):
-        code, _, err = run(capsys, monkeypatch, ["frobnicate"])
-        assert code == 64
+        for command in ("frobnicate", "bench"):
+            code, out, _ = run(capsys, monkeypatch, [command])
+            assert code == 64
+            assert out == ""
 
     def test_missing_required(self, capsys, monkeypatch):
         code, _, _ = run(capsys, monkeypatch, ["solve"])

@@ -16,7 +16,7 @@ from spiderfind import (
     vizing_color,
     verify_spider,
 )
-from spiderfind.edge_coloring import ExtensionGraph, format_coloring_dump
+from spiderfind.edge_coloring import ExtensionGraph
 from reference import check_proper_coloring
 from strategies import out_regular_digraphs
 
@@ -196,14 +196,3 @@ class TestPayloadSoundness:
         # An empty class has no legs to check; verify_spider needs l >= 1.
         if legs:
             assert verify_spider(g, Spider(r, legs), len(legs)) is None
-
-
-class TestDump:
-    def test_format(self):
-        h = make_h([(0, 1), (1, 2)])
-        col = vizing_color(h)
-        lines = format_coloring_dump(h, col).splitlines()
-        assert len(lines) == 2
-        u, v, c = lines[0].split()
-        assert (int(u), int(v)) == (0, 1)
-        assert format_coloring_dump(make_h([]), vizing_color(make_h([]))) == ""

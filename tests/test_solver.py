@@ -102,16 +102,11 @@ class TestFindSpider:
         assert [(c.lhs, c.rhs, c.passed) for c in coverage] == [
             (9 * out.trace.s, 37, True)
         ]
+        assert (
+            "coloring instance was truncated to the (2l-1)(l-1)+1 cap\n"
+            in explain_trace(out.trace)
+        )
         assert verify_spider(g, out.spider, 5) is None
-
-    def test_dump_callback(self):
-        collected = []
-        g = gen_random_out_regular(200, 10, seed=3)
-        find_spider(g, 5, dump=collected.append)
-        assert len(collected) == 1
-        for line in collected[0].splitlines():
-            u, v, c = line.split()
-            int(u), int(v), int(c)
 
     def test_result_lives_in_original_graph(self):
         # min out-degree above 2l: the working subgraph drops edges, the
