@@ -6,17 +6,17 @@ realizes it.  Because every strong extender is excluded from H, its maximum
 degree is at most 2l-2, so a proper coloring with at most Delta(H)+1 colors
 exists and any color class is a matching of independently orientable legs.
 
-The coloring itself follows the classical constructive proof of Vizing's
-theorem: insert edges one at a time; when no color is free at both
-endpoints, build a fan at one endpoint, fold it, and when folding is blocked
-flip a two-color alternating path first.  By pigeonhole, a largest color
-class of the colored graph H_t holds at least |E(H_t)| / (Delta+1) of its
-edges.  The solver records and enforces those bounds; vizing_color checks
-that its coloring is proper on every call.
+The coloring inserts edges one at a time, first-fit where some color is
+free at both endpoints and otherwise by the one-step insertion of Misra and
+Gries ("A constructive proof of Vizing's theorem", IPL 1992): grow a fan at
+one endpoint, flip one two-color alternating path from it, and rotate a
+prefix of the fan.  By pigeonhole, a largest color class of the colored
+graph H_t holds at least |E(H_t)| / (Delta+1) of its edges.  The solver
+records and enforces those bounds; vizing_color checks that its coloring
+is proper on every call.
 
-Every nondeterministic choice in the textbook proof (which free color, which
-fan vertex, which chain) is pinned to the lowest index, so colorings are
-reproducible.
+Every nondeterministic choice in the proof (which free color, which fan
+vertex) is pinned to the lowest index, so colorings are reproducible.
 """
 from __future__ import annotations
 
@@ -173,89 +173,49 @@ def _assign(e, u, v, c, col, free, at):
 
 
 def _insert_with_fan(e0, x, y0, col, free, at):
-    """Color e0 = (x, y0) when no color is free at both ends.
+    """Color e0 = (x, y0) when no color is free at both ends (Misra-Gries).
 
-    Grows a fan at x: each added edge (x, w) has a color missing at an
-    earlier fan vertex.  The fan folds as soon as x and the fan tip share a
-    free color; when two fan vertices share a free color instead, one
-    alternating-path flip makes the fan foldable.  One of the two exits
-    always arrives because the palette has Delta+1 colors.
+    Grows a fan y0, y1, ... at x, in which the color of (x, y[i+1]) is free
+    at y[i], until the tip shares a free color with x or the fan is maximal.
+    Let c be free at x and d free at the tip (both the lowest shared color
+    after an early stop).  Flipping the c/d path from x frees d at x; the
+    fan prefix up to the first vertex w missing d is then rotated, and
+    (x, w) takes d.  Misra and Gries prove that such a w exists and that
+    the prefix is still a fan after the flip.
     """
     fan = [e0]
     rim = [y0]
-    rim_missing = free[y0]
-    used_in_fan = 0
-    while True:
-        avail = rim_missing & ~free[x] & ~used_in_fan
+    fan_colors = 0
+    while not free[x] & free[rim[-1]]:
+        avail = free[rim[-1]] & ~free[x] & ~fan_colors
         if not avail:
-            raise InternalInvariantError(
-                "fan ran out of extensions; coloring state is corrupt"
-            )
+            break
         c = (avail & -avail).bit_length() - 1
         w, ew = at[x][c]
         fan.append(ew)
         rim.append(w)
-        used_in_fan |= 1 << c
-        if free[x] & free[w]:
-            _fold(fan, rim, x, col, free, at)
-            return
-        fw = free[w]
-        reduced = False
-        for j in range(len(rim) - 1):
-            if free[rim[j]] & fw:
-                _flip_and_fold(j, fan, rim, x, col, free, at)
-                reduced = True
-                break
-        if reduced:
-            return
-        rim_missing |= fw
-
-
-def _fold(fan, rim, x, col, free, at):
-    """Cascade colors down the fan until the base edge is colored."""
-    while True:
-        tip_e = fan[-1]
-        tip_y = rim[-1]
-        common = free[x] & free[tip_y]
-        c = (common & -common).bit_length() - 1
-        old = col[tip_e]
-        _assign(tip_e, x, tip_y, c, col, free, at)
-        if len(fan) == 1:
-            return
-        oldbit = 1 << old
-        for j in range(len(rim) - 1):
-            if free[rim[j]] & oldbit:
-                break
-        else:
-            raise InternalInvariantError("fan lost its defining property")
-        del fan[j + 1 :]
-        del rim[j + 1 :]
-
-
-def _flip_and_fold(j, fan, rim, x, col, free, at):
-    """Two fan vertices share a missing color: flip one Kempe chain, fold.
-
-    a is missing at rim[j] and the tip; b is missing at x and present at
-    every rim vertex.  Flipping the a/b path from rim[j] frees b there
-    unless that path ends at x, in which case the path from the tip is
-    flipped instead (the two paths cannot both reach x).
-    """
-    tip = rim[-1]
-    shared = free[rim[j]] & free[tip]
-    a = (shared & -shared).bit_length() - 1
-    fx = free[x]
-    b = (fx & -fx).bit_length() - 1
-    if _flip_chain(rim[j], a, b, x, col, free, at):
-        del fan[j + 1 :]
-        del rim[j + 1 :]
+        fan_colors |= 1 << c
+    shared = free[x] & free[rim[-1]]
+    c_set = shared or free[x]
+    d_set = shared or free[rim[-1]]
+    c = (c_set & -c_set).bit_length() - 1
+    d = (d_set & -d_set).bit_length() - 1
+    _flip_chain(x, c, d, col, free, at)
+    bit = 1 << d
+    for j, y in enumerate(rim):
+        if free[y] & bit:
+            break
     else:
-        _flip_chain(tip, a, b, x, col, free, at)
-    _fold(fan, rim, x, col, free, at)
+        raise InternalInvariantError("no fan vertex misses the flipped color")
+    give = d
+    for i in range(j, -1, -1):
+        freed = col[fan[i]]
+        _assign(fan[i], x, rim[i], give, col, free, at)
+        give = freed
 
 
-def _flip_chain(start, a, b, x, col, free, at) -> bool:
-    """Swap colors a/b along the alternating path from `start` (which misses
-    a), unless the path ends at x; returns whether the flip happened."""
+def _flip_chain(start, a, b, col, free, at):
+    """Swap colors a/b along the alternating path from `start`, which misses a."""
     chain = []
     z = start
     cur = b
@@ -264,10 +224,8 @@ def _flip_chain(start, a, b, x, col, free, at) -> bool:
         chain.append((z, w, e))
         z = w
         cur = a if cur == b else b
-    if z == x:
-        return False
     if not chain:
-        return True
+        return
     for u, v, e in chain:
         c = col[e]
         del at[u][c]
@@ -280,7 +238,6 @@ def _flip_chain(start, a, b, x, col, free, at) -> bool:
     ab = (1 << a) | (1 << b)
     free[start] ^= ab
     free[z] ^= ab
-    return True
 
 
 def _check_proper(eu, ev, col, palette):

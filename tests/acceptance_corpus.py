@@ -35,6 +35,11 @@ ELLS = range(1, 51)
 TRIALS_PER_ELL = 200
 N_MAX = 2000
 
+# sha256 of "\n".join of the per-spec digests in corpus_specs() order,
+# measured with numpy 2.4.6.  Only a change that alters spiders on purpose
+# (ROADMAP item 10) may update it, and that change says so in CHANGES.md.
+CORPUS_DIGEST = "8f5ed5851cfa4b0b2c614d9b870790ebe8488eaa42d450624a0f38851f77ff9b"
+
 _cache: dict[str, tuple[list, float]] = {}
 
 

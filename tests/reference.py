@@ -9,12 +9,20 @@ from __future__ import annotations
 import numpy as np
 
 from spiderfind import Digraph
+from spiderfind.edge_coloring import ExtensionGraph
 
 
 def from_pairs(n: int, pairs) -> Digraph:
     """The digraph on [0, n) with these (u, v) edges, per-source order kept."""
     src, dst = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
     return Digraph.from_edge_arrays(n, src, dst)
+
+
+def make_h(edges) -> ExtensionGraph:
+    """Synthetic undirected ExtensionGraph; payloads mirror the stored pair."""
+    eu = np.asarray([u for u, _ in edges], dtype=np.int32)
+    ev = np.asarray([v for _, v in edges], dtype=np.int32)
+    return ExtensionGraph(edge_u=eu, edge_v=ev, leaf=eu.copy(), mid=ev.copy())
 
 
 def edge_set(g: Digraph) -> set[tuple[int, int]]:

@@ -1,16 +1,18 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines
-as they happen.  Criteria 1, 3, and 7 share the 10,050-instance corpus
-defined in acceptance_corpus (50 values of l, one tight complete digraph
-plus 200 seeded random 2l-out-regular graphs each).
+as they happen.  Criteria 1, 3, and 7 and the pinned corpus digest share
+the 10,050-instance corpus defined in acceptance_corpus (50 values of l,
+one tight complete digraph plus 200 seeded random 2l-out-regular graphs
+each).
 """
+import hashlib
 import time
 
 import numpy as np
 
 import acceptance_corpus as corpus
-from reference import brute_max_legs, check_proper_coloring, from_pairs
+from reference import brute_max_legs, check_proper_coloring, from_pairs, make_h
 from spiderfind import (
     Digraph,
     find_spider,
@@ -22,7 +24,6 @@ from spiderfind import (
     verify_spider,
     vizing_color,
 )
-from spiderfind.edge_coloring import ExtensionGraph
 
 REQUIRED_CHECKS = [
     "score >= d^2 - d",
@@ -51,6 +52,13 @@ def test_criterion_1_theorem_totality():
     )
     assert len(results) == 10_050
     assert not bad, bad[:5]
+
+
+def test_corpus_digest_matches_reference():
+    """Spiders and traces over the whole corpus match the pinned digest."""
+    results, _ = corpus.corpus_results("first")
+    joined = "\n".join(r["digest"] for r in results)
+    assert hashlib.sha256(joined.encode()).hexdigest() == corpus.CORPUS_DIGEST
 
 
 def test_criterion_2_extremal_negative():
@@ -144,12 +152,6 @@ def test_criterion_4_oracle_cross_validation():
     assert not count_mismatches, count_mismatches[:5]
 
 
-def _make_h(edges) -> ExtensionGraph:
-    eu = np.asarray([u for u, _ in edges], dtype=np.int32)
-    ev = np.asarray([v for _, v in edges], dtype=np.int32)
-    return ExtensionGraph(edge_u=eu, edge_v=ev, leaf=eu.copy(), mid=ev.copy())
-
-
 def _coloring_violations(edges, col) -> list[str]:
     out = []
     colors = col.color_of.tolist()
@@ -186,7 +188,7 @@ def test_criterion_5_vizing_properties():
         [(0, i) for i in range(1, 31)],     # star with Delta = 30
     ]
     for edges in adversaries:
-        bad = _coloring_violations(edges, vizing_color(_make_h(edges)))
+        bad = _coloring_violations(edges, vizing_color(make_h(edges)))
         if bad:
             violations.append(("adversary", bad))
         graphs += 1
@@ -199,7 +201,7 @@ def test_criterion_5_vizing_properties():
         pairs = pair_cache[n]
         keep = rng.random(len(pairs)) < rng.uniform(0.05, 0.95)
         edges = [p for p, k in zip(pairs, keep) if k]
-        col = vizing_color(_make_h(edges))
+        col = vizing_color(make_h(edges))
         bad = _coloring_violations(edges, col)
         if bad:
             violations.append((graphs, n, bad))

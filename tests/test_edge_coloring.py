@@ -2,6 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spiderfind.edge_coloring as ec
 from spiderfind import (
     QPaths,
     Spider,
@@ -16,16 +17,8 @@ from spiderfind import (
     vizing_color,
     verify_spider,
 )
-from spiderfind.edge_coloring import ExtensionGraph
-from reference import check_proper_coloring
+from reference import check_proper_coloring, make_h
 from strategies import out_regular_digraphs
-
-
-def make_h(edges):
-    """Synthetic undirected ExtensionGraph; payloads mirror the stored pair."""
-    eu = np.asarray([u for u, _ in edges], dtype=np.int32)
-    ev = np.asarray([v for _, v in edges], dtype=np.int32)
-    return ExtensionGraph(edge_u=eu, edge_v=ev, leaf=eu.copy(), mid=ev.copy())
 
 
 def make_q(paths):
@@ -120,6 +113,46 @@ class TestVizing:
         assert col.palette == 31
         assert colors_used(col) == 30
         assert check_proper_coloring(edge_list(h), col.color_of.tolist())
+
+    @staticmethod
+    def _color_with_spies(monkeypatch, edges):
+        """Color `edges` recording each fan insertion and whether each c/d
+        flip swapped a non-empty path; the coloring must be proper with
+        palette Delta+1."""
+        fans, flips = [], []
+        insert, flip = ec._insert_with_fan, ec._flip_chain
+
+        def spy_insert(e0, *rest):
+            fans.append(e0)
+            insert(e0, *rest)
+
+        def spy_flip(start, a, b, col, free, at):
+            before = list(col)
+            flip(start, a, b, col, free, at)
+            flips.append(col != before)
+
+        monkeypatch.setattr(ec, "_insert_with_fan", spy_insert)
+        monkeypatch.setattr(ec, "_flip_chain", spy_flip)
+        col = vizing_color(make_h(edges))
+        degree = np.bincount(np.asarray(edges).ravel())
+        assert col.palette == int(degree.max()) + 1
+        assert check_proper_coloring(edges, col.color_of.tolist())
+        return fans, flips
+
+    # Frozen edge orders on which first-fit stalls at the last edge: the
+    # first needs only a fan rotation, the second also flips a non-empty
+    # c/d path.
+    def test_fan_without_flip(self, monkeypatch):
+        edges = [(0, 4), (1, 4), (0, 2), (1, 2), (1, 3), (3, 4), (0, 3)]
+        fans, flips = self._color_with_spies(monkeypatch, edges)
+        assert fans == [6]
+        assert not any(flips)
+
+    def test_fan_with_path_flip(self, monkeypatch):
+        edges = [(0, 2), (0, 1), (1, 4), (2, 4), (0, 3), (2, 3), (3, 4)]
+        fans, flips = self._color_with_spies(monkeypatch, edges)
+        assert fans == [6]
+        assert any(flips)
 
     def test_deterministic(self):
         edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)]
