@@ -3,8 +3,8 @@
 Any directed graph with minimum out-degree at least 2l contains l
 vertex-disjoint directed 2-paths into a common root (a (2,l)-spider);
 `find_spider` constructs one and `verify_spider` checks certificates
-independently.  Generators, an exhaustive small-instance oracle, and a
-CLI round out the package.
+independently.  Generators, an exact polynomial-time oracle, and a CLI
+round out the package.
 """
 from .digraph import (
     Digraph,

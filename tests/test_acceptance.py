@@ -10,6 +10,7 @@ import hashlib
 import time
 
 import numpy as np
+import pytest
 
 import acceptance_corpus as corpus
 from reference import brute_max_legs, check_proper_coloring, from_pairs, make_h
@@ -65,7 +66,7 @@ def test_criterion_2_extremal_negative():
     """K_{2l} admits no (2,l)-spider; every root caps at l-1 legs."""
     t0 = time.perf_counter()
     problems = []
-    for ell in (1, 2, 3):
+    for ell in range(1, 11):
         g = gen_complete_digraph(2 * ell)
         res = has_spider_bruteforce(g, ell)
         if res.exists:
@@ -76,7 +77,7 @@ def test_criterion_2_extremal_negative():
                 problems.append((ell, f"root {r} reaches {count}"))
     elapsed = time.perf_counter() - t0
     ok = not problems and elapsed < 5.0
-    _report(2, ok, f"K_2, K_4, K_6 spider-free, {elapsed:.2f}s (< 5s)")
+    _report(2, ok, f"K_2l for l=1..10 spider-free, {elapsed:.2f}s (< 5s)")
     assert not problems, problems
     assert elapsed < 5.0
 
@@ -97,8 +98,8 @@ def test_criterion_3_proof_inequality_suite():
     assert not missing, missing[:5]
 
 
-def _random_min_out_digraph(rng, ell: int) -> Digraph:
-    n = int(rng.integers(2 * ell + 1, 13))
+def _random_min_out_digraph(rng, ell: int, n_stop: int = 13) -> Digraph:
+    n = int(rng.integers(2 * ell + 1, n_stop))
     edges = []
     for v in range(n):
         dv = int(rng.integers(2 * ell, n))
@@ -138,18 +139,63 @@ def test_criterion_4_oracle_cross_validation():
             if bnb != naive:
                 count_mismatches.append((n, r, bnb, naive))
         checked_counts += 1
+
+    # Past the naive count's reach: l = 4..10 on up to 40 vertices, where
+    # the oracle's witness is checked too.
+    rng_large = np.random.default_rng(515151)
+    large_runs = 0
+    for ell in range(4, 11):
+        for _ in range(50):
+            g = _random_min_out_digraph(rng_large, ell, n_stop=41)
+            assert min_out_degree(g) >= 2 * ell
+            res = has_spider_bruteforce(g, ell)
+            out = find_spider(g, ell)
+            report = verify_spider(g, out.spider, ell)
+            if not res.exists or report is not None:
+                disagreements.append((ell, g.n, res.exists, str(report)))
+            elif verify_spider(g, res.witness, ell) is not None:
+                disagreements.append((ell, g.n, "oracle witness invalid"))
+            large_runs += 1
     elapsed = time.perf_counter() - t0
     ok = not disagreements and not count_mismatches
     _report(
         4,
         ok,
-        f"{runs} oracle/solver instances + {checked_counts} matching-count "
+        f"{runs} oracle/solver instances (l=1..3, n <= 12) + {large_runs} "
+        f"(l=4..10, n <= 40) + {checked_counts} matching-count "
         f"instances, {len(disagreements)} disagreements, "
         f"{len(count_mismatches)} count mismatches, {elapsed:.1f}s",
     )
-    assert runs >= 1000 and checked_counts >= 200
+    assert runs >= 1000 and checked_counts >= 200 and large_runs == 350
     assert not disagreements, disagreements[:5]
     assert not count_mismatches, count_mismatches[:5]
+
+
+def test_criterion_4_networkx_matching_sizes():
+    """Per-root oracle sizes equal networkx's blossom matching (optional)."""
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(616161)
+    mismatches = []
+    roots = 0
+    for _ in range(4):
+        n = int(rng.integers(50, 201))
+        g = gen_random_out_regular(n, 9, int(rng.integers(0, 2**31)))
+        edges = list(g.edges())
+        in_nbrs = [set() for _ in range(n)]
+        for u, v in edges:
+            in_nbrs[v].add(u)
+        best = has_spider_bruteforce(g, 1).best_per_root
+        for r in range(n):
+            legs = nx.Graph()
+            legs.add_edges_from(
+                (u, v) for u, v in edges if u != r and v in in_nbrs[r]
+            )
+            size = len(nx.max_weight_matching(legs, maxcardinality=True))
+            if best[r] != size:
+                mismatches.append((n, r, best[r], size))
+            roots += 1
+    assert roots >= 200
+    assert not mismatches, mismatches[:5]
 
 
 def _coloring_violations(edges, col) -> list[str]:

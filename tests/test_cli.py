@@ -252,12 +252,12 @@ class TestOracle:
         assert any(line.startswith("root ") for line in out.splitlines())
 
     def test_oversize_is_usage_error(self, capsys, monkeypatch):
-        graph_text = write_edge_list(gen_complete_digraph(18))
+        graph_text = write_edge_list(gen_complete_digraph(178))
         code, _, err = run(
             capsys, monkeypatch, ["oracle", "--ell", "2"], stdin=graph_text
         )
         assert code == 64
-        assert err.startswith("usage error: graph has 18 vertices")
+        assert err.startswith("usage error: graph has 178 vertices")
 
     def test_ell_zero_is_usage_error(self, capsys, monkeypatch):
         graph_text = write_edge_list(gen_complete_digraph(3))

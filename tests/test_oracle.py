@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spiderfind.oracle as oracle
 from spiderfind import (
     InstanceTooLarge,
+    Spider,
     find_spider,
     gen_complete_digraph,
     gen_random_out_regular,
@@ -50,11 +52,105 @@ class TestMaxSpiderAtRoot:
         assert spider.legs == ()
 
     def test_cap_enforced(self):
-        g = gen_complete_digraph(17)
+        g = gen_complete_digraph(177)
         with pytest.raises(InstanceTooLarge):
             max_spider_at_root(g, 0)
         with pytest.raises(InstanceTooLarge):
             max_spider_at_root(gen_complete_digraph(9), 0, cap=8)
+
+    # Leg graph at root 0 (every other vertex points to 0, so each edge
+    # u -> v adds the leg pair {u, v}): the 5-cycle 1-2-3-8-4 with the
+    # path 8-7-5-6 hanging off it.  The greedy start (lowest degree first)
+    # matches 5-6, 1-2 and 3-8 and leaves 4 and 7 free.  The only
+    # augmenting path, 4-1=2-3=8-7, runs the cycle the long way; the search
+    # from 4 first reaches 1 and 8 as inner vertices, so it finds the path
+    # only after the cycle is contracted.
+    BLOSSOM = [(1, 2), (1, 4), (2, 3), (3, 8), (4, 8), (5, 6), (5, 7), (7, 8)]
+    BLOSSOM_DIGRAPH = BLOSSOM + [(v, 0) for v in range(1, 9)]
+
+    def test_augmenting_path_through_blossom(self, monkeypatch):
+        g = from_pairs(9, self.BLOSSOM_DIGRAPH)
+        contractions = []
+        contract = oracle._contract_blossom
+
+        def spy(v, u, *rest):
+            contractions.append((v, u))
+            contract(v, u, *rest)
+
+        monkeypatch.setattr(oracle, "_contract_blossom", spy)
+        count, spider = max_spider_at_root(g, 0)
+        assert contractions
+        assert count == brute_max_legs(g, 0) == 4
+        assert verify_spider(g, spider, count) is None
+
+    # Leg graph at root 0: 7 is the only neighbour of both pendants 1 and 3,
+    # plus the path 5-4-2-6 with 5 and 6 also adjacent to 7.  Greedy
+    # matches 1-7 and 2-4 and leaves 3, 5 and 6 free.  The search from 3
+    # fails and retires its tree {3, 7, 1}; the search from 5 must still
+    # find 5-4=2-6.
+    RETIRE = [(1, 7), (2, 4), (2, 6), (3, 7), (4, 5), (5, 7), (6, 7)]
+
+    def test_failed_search_retires_only_its_tree(self, monkeypatch):
+        g = from_pairs(8, self.RETIRE + [(v, 0) for v in range(1, 8)])
+        searches = []
+        augment = oracle._augment_from
+
+        def spy(root, nbrs, mate, retired):
+            before = list(mate)
+            augment(root, nbrs, mate, retired)
+            searches.append((root, mate != before))
+
+        monkeypatch.setattr(oracle, "_augment_from", spy)
+        count, spider = max_spider_at_root(g, 0)
+        assert searches == [(3, False), (5, True)]
+        assert count == brute_max_legs(g, 0) == 3
+        assert verify_spider(g, spider, count) is None
+
+    @pytest.mark.parametrize(
+        "pairs, n, ell, expected",
+        [
+            # Blossom fixture: the augmented matching, legs by lower endpoint.
+            (
+                BLOSSOM_DIGRAPH,
+                9,
+                4,
+                Spider(root=0, legs=((1, 4), (2, 3), (5, 6), (7, 8))),
+            ),
+            # Circulant tournament i -> i+1, i+2, i+3 (mod 7): several
+            # maximum matchings at root 0; ties go to the lower degree, then
+            # the lower id.
+            (
+                [(i, (i + k) % 7) for i in range(7) for k in (1, 2, 3)],
+                7,
+                3,
+                Spider(root=0, legs=((1, 4), (2, 5), (3, 6))),
+            ),
+            # Leg graph 1-2, 1-5, 2-3, 2-5, 3-4 at root 0: the pendant 4
+            # takes 3 first, then 1 takes its lower-degree neighbour 5, not 2.
+            (
+                [(1, 2), (1, 5), (2, 3), (2, 5), (3, 4)]
+                + [(v, 0) for v in range(1, 6)],
+                6,
+                2,
+                Spider(root=0, legs=((1, 5), (3, 4))),
+            ),
+            # K_5: every pair is realizable both ways, so the leaf is the
+            # lower id.
+            (
+                [(u, v) for u in range(5) for v in range(5) if u != v],
+                5,
+                2,
+                Spider(root=0, legs=((1, 2), (3, 4))),
+            ),
+        ],
+    )
+    def test_witness_pinned(self, pairs, n, ell, expected):
+        g = from_pairs(n, pairs)
+        first = has_spider_bruteforce(g, ell)
+        second = has_spider_bruteforce(g, ell)
+        assert first.witness == second.witness == expected
+        assert max_spider_at_root(g, 0) == max_spider_at_root(g, 0) == (ell, expected)
+        assert verify_spider(g, expected, ell) is None
 
     @given(digraphs(min_n=2, max_n=8))
     @settings(max_examples=80)
@@ -163,7 +259,7 @@ class TestSearch:
 
     def test_oversize_samples_skipped(self):
         out = search_spider_free(
-            lambda seed: gen_complete_digraph(20), ell=2, trials=3, seed=0
+            lambda seed: gen_complete_digraph(180), ell=2, trials=3, seed=0
         )
         assert out.skipped == 3
         assert out.kept == []
