@@ -26,10 +26,7 @@ from .edge_coloring import (
 )
 from .errors import (
     EdgeListError,
-    EmptyA,
-    ExtensionExhausted,
     InstanceTooLarge,
-    InsufficientOutDegree,
     InternalInvariantError,
     PreconditionOutDegree,
     SpiderFormatError,
@@ -40,7 +37,7 @@ from .extenders import (
     strong_extender_pool,
 )
 from .oracle import (
-    DEFAULT_EXHAUSTIVE_CAP,
+    EXHAUSTIVE_CAP,
     OracleResult,
     SearchOutcome,
     has_spider_bruteforce,

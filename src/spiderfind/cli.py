@@ -25,7 +25,7 @@ from .errors import (
     PreconditionOutDegree,
     SpiderFormatError,
 )
-from .oracle import DEFAULT_EXHAUSTIVE_CAP, has_spider_bruteforce, search_spider_free
+from .oracle import has_spider_bruteforce, search_spider_free
 from .solver import explain_trace, find_spider
 from .spider import format_spider, parse_spider, verify_spider
 
@@ -79,7 +79,6 @@ def _build_parser() -> _Parser:
     oracle = sub.add_parser("oracle", help="exhaustive spider search")
     oracle.add_argument("--ell", type=int, required=True)
     oracle.add_argument("--input", "-i", default="-")
-    oracle.add_argument("--cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP)
 
     search = sub.add_parser("search", help="sample graphs, keep spider-free ones")
     search.add_argument(
@@ -92,7 +91,6 @@ def _build_parser() -> _Parser:
     search.add_argument("--ell", type=int, required=True)
     search.add_argument("--trials", type=int, default=1)
     search.add_argument("--seed", type=int, default=0)
-    search.add_argument("--cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP)
     return parser
 
 
@@ -155,7 +153,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = parse_edge_list(_read_text(args.input))
-    res = has_spider_bruteforce(g, args.ell, cap=args.cap)
+    res = has_spider_bruteforce(g, args.ell)
     sys.stdout.write(f"exists {'true' if res.exists else 'false'}\n")
     if res.witness is not None:
         sys.stdout.write(format_spider(res.witness))
@@ -176,7 +174,7 @@ def _make_family(args):
 
 def _cmd_search(args) -> int:
     sample = _make_family(args)
-    out = search_spider_free(sample, args.ell, args.trials, args.seed, cap=args.cap)
+    out = search_spider_free(sample, args.ell, args.trials, args.seed)
     for i, (g, _res) in enumerate(out.kept):
         sys.stdout.write(f"# hit {i} min_out {min_out_degree(g)}\n")
         sys.stdout.write(write_edge_list(g))

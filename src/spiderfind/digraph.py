@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import EdgeListError, InsufficientOutDegree
+from .errors import EdgeListError, PreconditionOutDegree
 
 __all__ = [
     "Digraph",
@@ -464,8 +464,7 @@ def extract_exact_outdegree_subgraph(g: Digraph, d: int) -> Digraph:
         raise ValueError("d must be >= 0")
     deg = g.out_degrees
     if g.n and deg.min() < d:
-        v = int(np.argmax(deg < d))
-        raise InsufficientOutDegree(v, int(deg[v]), d)
+        raise PreconditionOutDegree(int(deg.min()), d)
     if g.n == 0 or bool((deg == d).all()):
         return g
     starts = g._indptr[:-1]

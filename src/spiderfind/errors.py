@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 Two families matter to callers: user-facing input problems (bad edge
-lists, out-degree below the solve threshold, instances too large for the
+lists, out-degree below a required threshold, instances too large for the
 exhaustive oracle) and internal invariant violations.  The latter are
 theorems about correct code -- they are never expected on valid input,
 and the CLI maps them to a distinct exit code.
@@ -9,36 +9,25 @@ and the CLI maps them to a distinct exit code.
 from __future__ import annotations
 
 
-class EdgeListError(ValueError):
-    """Malformed edge-list text.  `line` is 1-based, counting every physical line."""
+class _LineError(ValueError):
+    """A parse error at a 1-based line, counting every physical line."""
 
     def __init__(self, line: int, message: str):
         self.line = line
         super().__init__(f"line {line}: {message}")
 
 
-class SpiderFormatError(ValueError):
+class EdgeListError(_LineError):
+    """Malformed edge-list text."""
+
+
+class SpiderFormatError(_LineError):
     """Malformed spider text."""
-
-    def __init__(self, line: int, message: str):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
-
-
-class InsufficientOutDegree(ValueError):
-    """A vertex has out-degree below the requested exact out-degree."""
-
-    def __init__(self, vertex: int, actual: int, needed: int):
-        self.vertex = vertex
-        self.actual = actual
-        self.needed = needed
-        super().__init__(
-            f"vertex {vertex} has out-degree {actual} < {needed}"
-        )
 
 
 class PreconditionOutDegree(ValueError):
-    """Input graph does not meet the solver's minimum out-degree threshold."""
+    """A graph's minimum out-degree is below a required threshold: 2l for
+    the solver, d for an exact out-degree-d subgraph."""
 
     def __init__(self, min_out: int, needed: int):
         self.min_out = min_out
@@ -63,15 +52,3 @@ class InternalInvariantError(AssertionError):
     Raising one of these means the implementation (not the input) is
     defective; they exist so bugs surface as loud, named failures.
     """
-
-
-class EmptyA(InternalInvariantError):
-    """No vertex reached the in-degree threshold, impossible for out-regular input."""
-
-
-class ExtensionExhausted(InternalInvariantError):
-    """Greedy extension found no attachment vertex: a precondition was violated."""
-
-    def __init__(self, vertex: int):
-        self.vertex = vertex
-        super().__init__(f"no attachment vertex available for extender {vertex}")

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .digraph import _sorted_distinct
-from .errors import ExtensionExhausted
+from .errors import InternalInvariantError
 from .spider import Spider
 
 __all__ = [
@@ -124,7 +124,9 @@ def greedy_extend(
         ext = (keys[b:e] - x * n).tolist()
         y = next((v for v in ext if v not in blocked), None)
         if y is None:
-            raise ExtensionExhausted(x)
+            raise InternalInvariantError(
+                f"no attachment vertex available for extender {x}"
+            )
         legs.append((x, y) if y in mid[leaf == x] else (y, x))
         blocked.add(x)
         blocked.add(y)

@@ -19,7 +19,7 @@ from .errors import InstanceTooLarge
 from .spider import Spider
 
 __all__ = [
-    "DEFAULT_EXHAUSTIVE_CAP",
+    "EXHAUSTIVE_CAP",
     "OracleResult",
     "SearchOutcome",
     "max_spider_at_root",
@@ -27,7 +27,7 @@ __all__ = [
     "search_spider_free",
 ]
 
-DEFAULT_EXHAUSTIVE_CAP = 176
+EXHAUSTIVE_CAP = 176
 
 
 @dataclass(frozen=True)
@@ -178,12 +178,10 @@ def _contract_blossom(
                 queue.append(x)
 
 
-def max_spider_at_root(
-    g: Digraph, r: int, cap: int = DEFAULT_EXHAUSTIVE_CAP
-) -> tuple[int, Spider]:
+def max_spider_at_root(g: Digraph, r: int) -> tuple[int, Spider]:
     """Exact maximum leg count at root r, with a witness spider."""
-    if g.n > cap:
-        raise InstanceTooLarge(g.n, cap)
+    if g.n > EXHAUSTIVE_CAP:
+        raise InstanceTooLarge(g.n, EXHAUSTIVE_CAP)
     out, inn = _adjacency_sets(g)
     return _max_at_root(out, inn, int(r))
 
@@ -201,14 +199,12 @@ def _max_at_root(
     return len(legs), Spider(root=r, legs=tuple(legs))
 
 
-def has_spider_bruteforce(
-    g: Digraph, ell: int, cap: int = DEFAULT_EXHAUSTIVE_CAP
-) -> OracleResult:
+def has_spider_bruteforce(g: Digraph, ell: int) -> OracleResult:
     """Try every root exhaustively; witness comes from the first root that works."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    if g.n > cap:
-        raise InstanceTooLarge(g.n, cap)
+    if g.n > EXHAUSTIVE_CAP:
+        raise InstanceTooLarge(g.n, EXHAUSTIVE_CAP)
     out, inn = _adjacency_sets(g)
     best_per_root: dict[int, int] = {}
     witness = None
@@ -225,11 +221,7 @@ def has_spider_bruteforce(
 
 
 def search_spider_free(
-    sample: Callable[[int], Digraph],
-    ell: int,
-    trials: int,
-    seed: int,
-    cap: int = DEFAULT_EXHAUSTIVE_CAP,
+    sample: Callable[[int], Digraph], ell: int, trials: int, seed: int
 ) -> SearchOutcome:
     """Sample graphs and keep the ones the oracle certifies spider-free.
 
@@ -246,7 +238,7 @@ def search_spider_free(
     for t in range(trials):
         g = sample(seed + t)
         try:
-            res = has_spider_bruteforce(g, ell, cap)
+            res = has_spider_bruteforce(g, ell)
         except InstanceTooLarge:
             skipped += 1
             continue

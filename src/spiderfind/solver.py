@@ -23,7 +23,7 @@ from .edge_coloring import (
     truncate_for_coloring,
     vizing_color,
 )
-from .errors import EmptyA, InternalInvariantError, PreconditionOutDegree
+from .errors import InternalInvariantError, PreconditionOutDegree
 from .extenders import greedy_extend, strong_extender_pool
 from .root_selection import (
     compute_q_paths,
@@ -57,7 +57,6 @@ class SolveTrace:
     s: int
     q_size: int
     vb_r: int
-    a_r_size: int
     checks: tuple[ProofCheck, ...]
     truncated: bool
 
@@ -92,7 +91,9 @@ def find_spider(g: Digraph, ell: int, mode: str = "checked") -> SolveOutcome:
     work = extract_exact_outdegree_subgraph(g, d)
     a_mask = partition_by_in_degree(work, ell)
     if not a_mask.any():
-        raise EmptyA("2l-out-regular graph must contain a high-in-degree vertex")
+        raise InternalInvariantError(
+            "2l-out-regular graph must contain a high-in-degree vertex"
+        )
 
     scores = score_roots(work, a_mask, ell)
     root_score = select_root(scores)
@@ -153,7 +154,6 @@ def find_spider(g: Digraph, ell: int, mode: str = "checked") -> SolveOutcome:
         s=s,
         q_size=q_size,
         vb_r=root_score.vb_x,
-        a_r_size=root_score.a_x,
         checks=checks,
         truncated=ht.truncated,
     )
@@ -165,7 +165,7 @@ def explain_trace(t: SolveTrace) -> str:
     lines = [
         f"d = {t.d}  root = {t.root}",
         f"a = {t.a}  c = {t.c}  s = {t.s}",
-        f"|Q_r| = {t.q_size}  |VB_r| = {t.vb_r}  |A_r| = {t.a_r_size}",
+        f"|Q_r| = {t.q_size}  |VB_r| = {t.vb_r}  |A_r| = {t.a}",
     ]
     if t.truncated:
         lines.append("coloring instance was truncated to the (2l-1)(l-1)+1 cap")

@@ -257,7 +257,16 @@ class TestOracle:
             capsys, monkeypatch, ["oracle", "--ell", "2"], stdin=graph_text
         )
         assert code == 64
-        assert err.startswith("usage error: graph has 178 vertices")
+        assert err == "usage error: graph has 178 vertices, exhaustive cap is 176\n"
+
+    def test_cap_flag_is_gone(self, capsys, monkeypatch):
+        code, out, err = run(
+            capsys, monkeypatch, ["oracle", "--ell", "2", "--cap", "10"],
+            stdin=write_edge_list(gen_complete_digraph(4)),
+        )
+        assert code == 64
+        assert out == ""
+        assert err.startswith("usage error: unrecognized arguments: --cap 10")
 
     def test_ell_zero_is_usage_error(self, capsys, monkeypatch):
         graph_text = write_edge_list(gen_complete_digraph(3))
@@ -295,6 +304,16 @@ class TestSearch:
         assert code == 64
         assert out == ""
         assert err == f"usage error: {message}\n"
+
+    def test_cap_flag_is_gone(self, capsys, monkeypatch):
+        code, out, err = run(
+            capsys, monkeypatch,
+            ["search", "--family", "complete", "--n", "4", "--ell", "2",
+             "--cap", "10"],
+        )
+        assert code == 64
+        assert out == ""
+        assert err.startswith("usage error: unrecognized arguments: --cap 10")
 
     def test_hits_are_parseable_edge_lists(self, capsys, monkeypatch):
         code, out, _ = run(

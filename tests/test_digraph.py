@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from spiderfind import (
     Digraph,
     EdgeListError,
-    InsufficientOutDegree,
+    PreconditionOutDegree,
     extract_exact_outdegree_subgraph,
     gen_complete_digraph,
     gen_random_out_regular,
@@ -363,14 +363,14 @@ class TestExtract:
 
     def test_insufficient(self):
         tri = parse_edge_list("3 3\n0 1\n1 2\n2 0\n")
-        with pytest.raises(InsufficientOutDegree) as exc:
+        with pytest.raises(PreconditionOutDegree) as exc:
             extract_exact_outdegree_subgraph(tri, 2)
-        assert exc.value.vertex == 0
+        assert (exc.value.min_out, exc.value.needed) == (1, 2)
 
     @given(digraphs(min_n=2, max_n=9), st.integers(0, 3))
     def test_subset_and_exact_degree(self, g, d):
         if int(g.out_degrees.min()) < d:
-            with pytest.raises(InsufficientOutDegree):
+            with pytest.raises(PreconditionOutDegree):
                 extract_exact_outdegree_subgraph(g, d)
             return
         sub = extract_exact_outdegree_subgraph(g, d)

@@ -10,7 +10,6 @@ import spiderfind.edge_coloring as edge_coloring
 import spiderfind.solver as solver
 from spiderfind import (
     Digraph,
-    EmptyA,
     ExtenderPool,
     InternalInvariantError,
     PreconditionOutDegree,
@@ -72,7 +71,6 @@ class TestFindSpider:
         assert t.root == 0
         assert t.a == 4 and t.c == 0
         assert t.q_size == 0 and t.s == 0
-        assert t.a_r_size == t.a
         assert all(c.passed for c in t.checks)
         names = [c.name for c in t.checks]
         assert names == [
@@ -88,7 +86,7 @@ class TestFindSpider:
     def test_trace_values_are_plain_ints(self):
         out = find_spider(gen_random_out_regular(60, 6, seed=1), 3)
         t = out.trace
-        for value in (t.d, t.root, t.a, t.c, t.s, t.q_size, t.vb_r, t.a_r_size):
+        for value in (t.d, t.root, t.a, t.c, t.s, t.q_size, t.vb_r):
             assert type(value) is int
         for chk in t.checks:
             assert type(chk.lhs) is int and type(chk.rhs) is int
@@ -313,7 +311,10 @@ class TestOneEnforcementPoint:
             "partition_by_in_degree",
             lambda g, ell: np.zeros(g.n, dtype=bool),
         )
-        with pytest.raises(EmptyA):
+        with pytest.raises(
+            InternalInvariantError,
+            match="^2l-out-regular graph must contain a high-in-degree vertex$",
+        ):
             find_spider(gen_complete_digraph(5), 2)
 
     def test_leg_through_root_fails_verification(self, monkeypatch):
