@@ -21,11 +21,12 @@ from .digraph import (
 )
 from .errors import (
     EdgeListError,
+    InstanceTooLarge,
     InternalInvariantError,
     PreconditionOutDegree,
     SpiderFormatError,
 )
-from .oracle import has_spider_bruteforce, search_spider_free
+from .oracle import EXHAUSTIVE_CAP, has_spider_bruteforce, search_spider_free
 from .solver import explain_trace, find_spider
 from .spider import format_spider, parse_spider, verify_spider
 
@@ -174,6 +175,9 @@ def _make_family(args):
 
 def _cmd_search(args) -> int:
     sample = _make_family(args)
+    # Every sample has --n vertices, so above the cap all would be skipped.
+    if args.n > EXHAUSTIVE_CAP:
+        raise InstanceTooLarge(args.n, EXHAUSTIVE_CAP)
     out = search_spider_free(sample, args.ell, args.trials, args.seed)
     for i, (g, _res) in enumerate(out.kept):
         sys.stdout.write(f"# hit {i} min_out {min_out_degree(g)}\n")

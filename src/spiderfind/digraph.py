@@ -328,8 +328,6 @@ def _parse_lines(text: str) -> Digraph:
 def write_edge_list(g: Digraph) -> str:
     """Serialize per out-adjacency order; parse_edge_list round-trips exactly."""
     header = f"{g.n} {g.m}\n"
-    if g.m == 0:
-        return header
     ids = np.empty(2 * g.m, dtype=np.int32)
     ids[0::2] = g.edge_src
     ids[1::2] = g.edge_dst
@@ -379,14 +377,13 @@ def _rows_have_duplicates(mat: np.ndarray) -> np.ndarray:
 def _sample_rows_rejection(rng, rows, n_choices, d):
     """rows x d matrix, each row d distinct draws from [0, n_choices)."""
     mat = rng.integers(0, n_choices, size=(rows, d), dtype=np.int32)
-    if d > 1:
-        bad = _rows_have_duplicates(mat)
-        while bad.any():
-            k = int(bad.sum())
-            redraw = rng.integers(0, n_choices, size=(k, d), dtype=np.int32)
-            mat[bad] = redraw
-            idx = np.flatnonzero(bad)
-            bad[idx] = _rows_have_duplicates(redraw)
+    bad = _rows_have_duplicates(mat)
+    while bad.any():
+        k = int(bad.sum())
+        redraw = rng.integers(0, n_choices, size=(k, d), dtype=np.int32)
+        mat[bad] = redraw
+        idx = np.flatnonzero(bad)
+        bad[idx] = _rows_have_duplicates(redraw)
     return mat
 
 
@@ -420,8 +417,6 @@ def gen_random_out_regular(n: int, d: int, seed: int) -> Digraph:
     if d >= n:
         raise ValueError(f"d = {d} must be < n = {n}")
     rng = np.random.default_rng(seed)
-    if d == 0:
-        return Digraph(n, np.zeros(n + 1, np.int64), np.empty(0, np.int32))
     if d == n - 1:
         return gen_complete_digraph(n)
     # Rejection keeps the clean-row probability above ~0.2 while
@@ -444,8 +439,6 @@ def gen_regular_tournament(n: int, seed: int) -> Digraph:
     k = (n - 1) // 2
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n).astype(np.int32)
-    if k == 0:
-        return Digraph(1, np.zeros(2, np.int64), np.empty(0, np.int32))
     shifts = (
         np.arange(n, dtype=np.int64)[:, None] + np.arange(1, k + 1, dtype=np.int64)
     ) % n

@@ -41,33 +41,21 @@ __all__ = [
 class ExtensionGraph:
     """Undirected graph whose edges are realizable spider legs at root r.
 
-    Edge i joins edge_u[i] < edge_v[i] and is realized by the directed path
+    Edge i joins leaf[i] and mid[i] and is realized by the directed path
     leaf[i] -> mid[i] -> r.
     """
 
-    __slots__ = ("edge_u", "edge_v", "leaf", "mid", "max_degree", "truncated")
+    __slots__ = ("leaf", "mid", "max_degree", "truncated")
 
-    def __init__(
-        self,
-        edge_u: np.ndarray,
-        edge_v: np.ndarray,
-        leaf: np.ndarray,
-        mid: np.ndarray,
-        truncated: bool = False,
-    ):
-        self.edge_u = edge_u
-        self.edge_v = edge_v
+    def __init__(self, leaf: np.ndarray, mid: np.ndarray, truncated: bool = False):
         self.leaf = leaf
         self.mid = mid
         self.truncated = truncated
-        if edge_u.size:
-            self.max_degree = int(np.bincount(np.concatenate([edge_u, edge_v])).max())
-        else:
-            self.max_degree = 0
+        self.max_degree = int(np.bincount(np.concatenate([leaf, mid])).max(initial=0))
 
     @property
     def num_edges(self) -> int:
-        return int(self.edge_u.shape[0])
+        return int(self.leaf.shape[0])
 
 
 @dataclass(frozen=True)
@@ -87,10 +75,7 @@ def build_extension_graph(q: QPaths) -> ExtensionGraph:
     _, first_idx = np.unique((u << 32) | v, return_index=True)
     keep = np.sort(first_idx)
     return ExtensionGraph(
-        edge_u=u[keep].astype(np.int32),
-        edge_v=v[keep].astype(np.int32),
-        leaf=first[keep].astype(np.int32),
-        mid=middle[keep].astype(np.int32),
+        leaf=first[keep].astype(np.int32), mid=middle[keep].astype(np.int32)
     )
 
 
@@ -104,13 +89,7 @@ def truncate_for_coloring(h: ExtensionGraph, ell: int) -> ExtensionGraph:
     cap = (2 * ell - 1) * (ell - 1) + 1
     if h.num_edges <= cap:
         return h
-    return ExtensionGraph(
-        edge_u=h.edge_u[:cap],
-        edge_v=h.edge_v[:cap],
-        leaf=h.leaf[:cap],
-        mid=h.mid[:cap],
-        truncated=True,
-    )
+    return ExtensionGraph(leaf=h.leaf[:cap], mid=h.mid[:cap], truncated=True)
 
 
 # ---- Vizing coloring ----------------------------------------------------------
@@ -124,8 +103,9 @@ def vizing_color(h: ExtensionGraph) -> EdgeColoring:
         return EdgeColoring(color_of=np.empty(0, dtype=np.int32), palette=0)
 
     # Compact vertex ids; the coloring never compares vertex ids, so any
-    # deterministic remap yields the identical color sequence.
-    ends = np.concatenate([h.edge_u, h.edge_v])
+    # deterministic remap yields the identical color sequence.  Fans grow
+    # at each edge's lower endpoint.
+    ends = np.concatenate([np.minimum(h.leaf, h.mid), np.maximum(h.leaf, h.mid)])
     uniq, inv = np.unique(ends, return_inverse=True)
     nv = int(uniq.shape[0])
     eu = inv[:m].tolist()

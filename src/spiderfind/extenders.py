@@ -54,19 +54,17 @@ def _extension_keys(
     return _sorted_distinct(keys)
 
 
-def strong_extender_pool(
-    paths: tuple, r: int, ell: int, a_mask: np.ndarray
-) -> ExtenderPool:
+def strong_extender_pool(paths: tuple, ell: int, a_mask: np.ndarray) -> ExtenderPool:
     """Classify every (2l-1)-extender for r from `Digraph.two_paths_into(r)`.
 
     a_r is N^-(r) intersected with the high-in-degree class `a_mask`, a
     boolean mask over [0, n); each of its members is automatically strong
-    (it points at r and has at least 2l-1 in-neighbors besides r).
+    (it points at r and has at least 2l-1 in-neighbors besides r).  r itself
+    is never strong: no 2-path into r starts at r, and N^-(r) excludes r.
     """
     in_r, leaf, mid = paths
     n = in_r.shape[0]
     thr = 2 * ell - 1
-    r = int(r)
     in_r_vertices = np.flatnonzero(in_r)
     a_r = in_r_vertices[a_mask[in_r_vertices]]
 
@@ -81,27 +79,21 @@ def strong_extender_pool(
     sizes = np.bincount(_extension_keys(n, leaf, mid, cand) // n, minlength=n)
     strong_mask[cand[sizes[cand] >= thr]] = True
 
-    strong_mask[r] = False
     strong_mask[a_r] = False
     return ExtenderPool(a_r=a_r, c_r=np.flatnonzero(strong_mask))
 
 
-def greedy_extend(
-    paths: tuple, r: int, base: Spider, f_seq: Sequence[int]
-) -> Spider:
+def greedy_extend(paths: tuple, base: Spider, f_seq: Sequence[int]) -> Spider:
     """Attach one leg per f_seq vertex, in order, onto the base spider.
 
-    `paths` is `Digraph.two_paths_into(r)`.  Each x in f_seq must be a
-    sufficiently large extender for r (position i, 1-based, needs
-    |O(x, r)| >= f + 2s + i - 1 where f = len(f_seq) and s is the base leg
-    count); under that precondition an attachment vertex always exists.
-    The attachment y is the smallest-id member of O(x, r) outside the
-    current spider and the unprocessed tail of f_seq; the leg is oriented
-    x -> y -> r when that path exists, else y -> x -> r.
+    The root r comes from `base.root`; `paths` is `Digraph.two_paths_into(r)`.
+    Each x in f_seq must be a sufficiently large extender for r (position i,
+    1-based, needs |O(x, r)| >= f + 2s + i - 1 where f = len(f_seq) and s is
+    the base leg count); under that precondition an attachment vertex always
+    exists.  The attachment y is the smallest-id member of O(x, r) outside
+    the current spider and the unprocessed tail of f_seq; the leg is
+    oriented x -> y -> r when that path exists, else y -> x -> r.
     """
-    r = int(r)
-    if base.root != r:
-        raise ValueError("base spider must be rooted at r")
     f_list = [int(x) for x in f_seq]
     if len(set(f_list)) != len(f_list):
         raise ValueError("f_seq vertices must be distinct")
@@ -130,4 +122,4 @@ def greedy_extend(
         legs.append((x, y) if y in mid[leaf == x] else (y, x))
         blocked.add(x)
         blocked.add(y)
-    return Spider(root=r, legs=tuple(legs))
+    return Spider(root=base.root, legs=tuple(legs))

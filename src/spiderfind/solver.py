@@ -101,7 +101,7 @@ def find_spider(g: Digraph, ell: int, mode: str = "checked") -> SolveOutcome:
 
     # Every later stage reads the root through its 2-paths, found once.
     paths = work.two_paths_into(r)
-    pool = strong_extender_pool(paths, r, ell, a_mask)
+    pool = strong_extender_pool(paths, ell, a_mask)
     a = len(pool.a_r)
     c = len(pool.c_r)
 
@@ -138,7 +138,7 @@ def find_spider(g: Digraph, ell: int, mode: str = "checked") -> SolveOutcome:
 
     base = Spider(root=int(r), legs=base_legs[:ell])
     f_seq = np.concatenate((pool.a_r, pool.c_r))[: ell - len(base.legs)]
-    spider = greedy_extend(paths, r, base, f_seq)
+    spider = greedy_extend(paths, base, f_seq)
 
     report = verify_spider(g, spider, ell)
     if report is not None:

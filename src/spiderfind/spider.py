@@ -8,7 +8,7 @@ candidate Spider value, never at solver state.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .digraph import Digraph, _int_token
@@ -51,10 +51,10 @@ class ViolationReport:
     kind: ViolationKind
     vertices: tuple[int, ...] = ()
     edge: Optional[tuple[int, int]] = None
-    message: str = field(default="")
+    message: str = ""
 
     def __str__(self) -> str:
-        return self.message or self.kind.value
+        return self.message
 
 
 def verify_spider(g: Digraph, s: Spider, ell: int) -> Optional[ViolationReport]:

@@ -19,10 +19,10 @@ def from_pairs(n: int, pairs) -> Digraph:
 
 
 def make_h(edges) -> ExtensionGraph:
-    """Synthetic undirected ExtensionGraph; payloads mirror the stored pair."""
-    eu = np.asarray([u for u, _ in edges], dtype=np.int32)
-    ev = np.asarray([v for _, v in edges], dtype=np.int32)
-    return ExtensionGraph(edge_u=eu, edge_v=ev, leaf=eu.copy(), mid=ev.copy())
+    """Synthetic ExtensionGraph whose edge (u, v) has leaf u and mid v."""
+    leaf = np.asarray([u for u, _ in edges], dtype=np.int32)
+    mid = np.asarray([v for _, v in edges], dtype=np.int32)
+    return ExtensionGraph(leaf=leaf, mid=mid)
 
 
 def edge_set(g: Digraph) -> set[tuple[int, int]]:

@@ -315,6 +315,25 @@ class TestSearch:
         assert out == ""
         assert err.startswith("usage error: unrecognized arguments: --cap 10")
 
+    def test_oversize_n_is_usage_error_before_sampling(self, capsys, monkeypatch):
+        # Every sample has --n vertices, so none is built above the cap.
+        calls = []
+
+        def spy(n):
+            calls.append(n)
+            return gen_complete_digraph(n)
+
+        monkeypatch.setattr("spiderfind.cli.gen_complete_digraph", spy)
+        code, out, err = run(
+            capsys, monkeypatch,
+            ["search", "--family", "complete", "--n", "177", "--ell", "1",
+             "--trials", "2"],
+        )
+        assert code == 64
+        assert out == ""
+        assert err == "usage error: graph has 177 vertices, exhaustive cap is 176\n"
+        assert calls == []
+
     def test_hits_are_parseable_edge_lists(self, capsys, monkeypatch):
         code, out, _ = run(
             capsys, monkeypatch,

@@ -215,6 +215,8 @@ class TestParse:
     def test_empty_graph(self):
         g = parse_edge_list("1 0\n")
         assert g.n == 1 and g.m == 0
+        for n in (0, 1, 10):
+            assert write_edge_list(parse_edge_list(f"{n} 0\n")) == f"{n} 0\n"
 
     @given(digraphs())
     def test_round_trip(self, g):
@@ -289,8 +291,8 @@ class TestRandomOutRegular:
         )
 
     def test_rows_distinct_and_no_self(self):
-        # Exercise both sampling regimes.
-        for n, d in [(200, 3), (30, 20), (12, 10)]:
+        # Exercise both sampling regimes and out-degrees 0 and 1.
+        for n, d in [(200, 3), (30, 20), (12, 10), (1, 0), (2, 0), (7, 0), (50, 1)]:
             g = gen_random_out_regular(n, d, seed=5)
             for v, row in enumerate(out_rows(g)):
                 row = row.tolist()
@@ -318,6 +320,11 @@ def test_generators_reject_vertex_count_beyond_int32_ids(make):
 
 
 class TestRegularTournament:
+    def test_single_vertex(self):
+        g = gen_regular_tournament(1, seed=0)
+        assert g.m == 0
+        assert g.out_degrees.tolist() == [0]
+
     def test_three_vertices(self):
         g = gen_regular_tournament(3, seed=0)
         assert g.m == 3

@@ -30,7 +30,8 @@ def make_q(paths):
 
 
 def edge_list(h):
-    return list(zip(h.edge_u.tolist(), h.edge_v.tolist()))
+    """Each edge of h as its (lower, higher) endpoint pair."""
+    return [(min(e), max(e)) for e in zip(h.leaf.tolist(), h.mid.tolist())]
 
 
 def colors_used(col):
@@ -219,7 +220,7 @@ class TestPayloadSoundness:
         g, ell = g_ell
         a_mask = partition_by_in_degree(g, ell)
         r = int(select_root(score_roots(g, a_mask, ell)).x)
-        pool = strong_extender_pool(g.two_paths_into(r), r, ell, a_mask)
+        pool = strong_extender_pool(g.two_paths_into(r), ell, a_mask)
         q = compute_q_paths(g.two_paths_into(r), a_mask, pool)
         h = build_extension_graph(q)
         ht = truncate_for_coloring(h, ell)

@@ -262,7 +262,7 @@ class TestQPaths:
     def test_k5_empty_vacuous(self):
         g = gen_complete_digraph(5)
         a_mask = partition_by_in_degree(g, 2)
-        pool = strong_extender_pool(g.two_paths_into(0), 0, 2, a_mask)
+        pool = strong_extender_pool(g.two_paths_into(0), 2, a_mask)
         q = compute_q_paths(g.two_paths_into(0), a_mask, pool)
         assert len(q) == 0
 
@@ -280,7 +280,7 @@ class TestQPaths:
         g, ell = g_ell
         a_mask = partition_by_in_degree(g, ell)
         r = int(select_root(score_roots(g, a_mask, ell)).x)
-        pool = strong_extender_pool(g.two_paths_into(r), r, ell, a_mask)
+        pool = strong_extender_pool(g.two_paths_into(r), ell, a_mask)
         q = compute_q_paths(g.two_paths_into(r), a_mask, pool)
         excluded = set(pool.a_r.tolist()) | set(pool.c_r.tolist())
         edges = set(g.edges())
@@ -302,7 +302,7 @@ class TestQPaths:
         g, ell = g_ell
         a_mask = partition_by_in_degree(g, ell)
         r = int(select_root(score_roots(g, a_mask, ell)).x)
-        pool = strong_extender_pool(g.two_paths_into(r), r, ell, a_mask)
+        pool = strong_extender_pool(g.two_paths_into(r), ell, a_mask)
         vb_paths = [
             (v, b) for v, b in brute_two_paths_to(g, r) if not a_mask[b]
         ]

@@ -261,7 +261,7 @@ class TestOneEnforcementPoint:
         monkeypatch.setattr(
             solver,
             "strong_extender_pool",
-            lambda paths, r, ell, a_mask: ExtenderPool(a_r=none, c_r=none),
+            lambda paths, ell, a_mask: ExtenderPool(a_r=none, c_r=none),
         )
         build_extension_graph = solver.build_extension_graph
         monkeypatch.setattr(
