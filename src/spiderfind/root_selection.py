@@ -1,13 +1,12 @@
 """A/B in-degree partition, root scoring and selection, and Q-path enumeration.
 
 All functions here operate on the regularized working subgraph in which
-every out-degree equals d = 2l.  Root selection needs only the maximiser of
-the score d*|A_r| + |VB_r| over the high-in-degree class A; averaging over A
-guarantees it scores at least d^2 - d.  Scoring bounds every member of A
-from both sides in a handful of vectorized passes, then scores exactly only
-the candidates, the members whose upper bound reaches the largest lower
-bound.  These are pure computations: the solver records and enforces the
-bounds they are guaranteed to meet.
+every out-degree equals d = 2l.  The proof needs a root in the
+high-in-degree class A whose score d*|A_r| + |VB_r| is at least d^2 - d,
+and averaging over A guarantees one.  Root selection takes the first such
+member in order of in-degree, highest first, scoring the members exactly in
+doubling batches.  These are pure computations: the solver records and
+enforces the bounds they are guaranteed to meet.
 """
 from __future__ import annotations
 
@@ -40,8 +39,8 @@ class RootScore:
 class RootScores(Sequence[RootScore]):
     """Exact scores of the root candidates, array-backed.
 
-    `xs` lists the candidates in ascending vertex order.  Every member of
-    the A class outside `xs` scores strictly below the largest score here.
+    `xs` lists the candidates in the order they are visited; `target` is
+    d^2 - d, the score the chosen root must reach.
     """
 
     def __init__(self, xs: np.ndarray, a: np.ndarray, vb: np.ndarray, ell: int):
@@ -49,6 +48,7 @@ class RootScores(Sequence[RootScore]):
         self.a = a
         self.vb = vb
         self.score = 2 * ell * a + vb
+        self.target = 4 * ell * ell - 2 * ell
 
     def __len__(self) -> int:
         return int(self.xs.shape[0])
@@ -90,67 +90,63 @@ def partition_by_in_degree(g: Digraph, ell: int) -> np.ndarray:
     return g.in_degrees >= d
 
 
-def score_roots(g: Digraph, a_mask: np.ndarray, ell: int) -> RootScores:
-    """Exact scores 2l*a_x + vb_x for every member x of the A class that
-    can still be the maximiser, where a_x = |N^-(x) & A| and vb_x is the
-    sum over B-in-neighbors b of |N^-(b) \\ {x}|.
-
-    A member is returned when its upper bound, the score without the
-    antiparallel correction, reaches the largest lower bound over A; every
-    other member scores strictly below the largest returned score.
+def _score_batch(
+    g: Digraph, a_mask: np.ndarray, xs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """a_x = |N^-(x) & A| and vb_x, the sum over B-in-neighbors b of
+    |N^-(b) \\ {x}|, for each vertex x of `xs`, from the edges into and out
+    of `xs`.
     """
     n = g.n
-    src = g.edge_src
-    dst = g.edge_dst
-    in_deg = g.in_degrees
-    out_deg = g.out_degrees
-
-    # Per-edge A membership, from the CSR rows and a chunked gather.
-    a_src = np.repeat(a_mask, out_deg)
-    a_dst = _gather(a_mask, dst)
-
-    # a and vb are only reported for the A class, so edges b -> x with x
-    # outside A never contribute.  Edge subsets are gathered through
-    # flatnonzero index arrays, which measured about 2.5x faster than
-    # boolean-mask indexing at 5M edges.
-    b_to_a = np.flatnonzero(~a_src & a_dst)
-    bsrc = src[b_to_a]
-    bdst = dst[b_to_a]
-    # Every in-neighbor of x lies in A or in B.
-    a_vec = in_deg - _bincount(bdst, n)
-    in_deg_f = in_deg.astype(np.float64)
-    vb0 = _bincount(bdst, n, weights=_gather(in_deg_f, bsrc)).astype(np.int64)
-
+    in_batch = np.zeros(n, dtype=bool)
+    in_batch[xs] = True
+    into = np.flatnonzero(_gather(in_batch, g.edge_dst))
+    feeder = g.edge_src[into]
+    x_of = g.edge_dst[into]
+    from_a = a_mask[feeder]
     # b -> x contributes |N^-(b)| minus one when the path v = x would repeat,
-    # i.e. when the antiparallel edge x -> b is also present.  That
-    # correction is at most the out-degree of x, so `upper - out_deg` is a
-    # lower bound on the exact score, and only vertices whose `upper`
-    # reaches the largest lower bound over A can be the maximiser.
-    upper = 2 * ell * a_vec + vb0
-    floor = (upper - out_deg).max(where=a_mask, initial=np.iinfo(np.int64).min)
-    cand = a_mask & (upper >= floor)
+    # i.e. when the antiparallel edge x -> b is also present.  The graph is
+    # simple, so that edge exists exactly when its key x*n + b is among the
+    # keys of the edges out of the batch.
+    out = np.flatnonzero(np.repeat(in_batch, g.out_degrees))
+    back = np.isin(
+        x_of.astype(np.int64) * n + feeder,
+        g.edge_src[out].astype(np.int64) * n + g.edge_dst[out],
+    )
+    vb = np.where(from_a, 0, g.in_degrees[feeder] - back)
+    # Integer weights below 2^53 sum exactly in float64.
+    return _bincount(x_of[from_a], n)[xs], _bincount(x_of, n, vb)[xs].astype(np.int64)
 
-    # The correction is counted on candidate-incident edges only: the query
-    # edges b -> x and the eligible reverses x -> b, which run from A into
-    # B.  The key x*n + b of each goes into one sorted array; the graph is
-    # simple, so a key occurs twice exactly when both edges exist.
-    q = np.flatnonzero(_gather(cand, bdst))
-    rev = np.flatnonzero(np.repeat(cand, out_deg) & ~a_dst)
-    keys = np.concatenate((bdst[q], src[rev])).astype(np.int64)
-    keys *= n
-    keys += np.concatenate((bsrc[q], dst[rev]))
-    keys.sort()
-    hits = keys[1:][keys[1:] == keys[:-1]]
-    corr = np.bincount(hits // n, minlength=n)
 
-    xs = np.flatnonzero(cand).astype(np.int64)
-    return RootScores(xs=xs, a=a_vec[xs], vb=vb0[xs] - corr[xs], ell=ell)
+def score_roots(g: Digraph, a_mask: np.ndarray, ell: int) -> RootScores:
+    """Exact scores 2l*a_x + vb_x of the A class in candidate order, up to
+    the first batch that holds a member reaching d^2 - d.
+
+    Candidates go by in-degree, highest first, with ties to the lowest id,
+    and are scored in batches of 1, 2, 4, ...  Averaging over A guarantees
+    a member reaching d^2 - d, so at most floor(log2 |A|) + 1 batches run.
+    """
+    n = g.n
+    in_deg = g.in_degrees
+    xs = np.flatnonzero(a_mask)
+    # The keys (max in-degree - in_deg(x)) * n + x are distinct and sort in
+    # candidate order; a key sort measured 4x faster than a stable argsort.
+    order = np.sort((in_deg.max() - in_deg[xs]) * n + xs) % n
+    none = np.empty(0, dtype=np.int64)
+    scores = RootScores(xs=order[:0], a=none, vb=none, ell=ell)
+    while len(scores) < order.shape[0] and not (scores.score >= scores.target).any():
+        end = 2 * len(scores) + 1
+        a, vb = _score_batch(g, a_mask, order[len(scores) : end])
+        scores = RootScores(
+            order[:end], np.append(scores.a, a), np.append(scores.vb, vb), ell
+        )
+    return scores
 
 
 def select_root(scores: RootScores) -> RootScore:
-    """Maximal-score entry, smallest vertex id on ties."""
-    # argmax takes the first maximum, and xs is ascending.
-    return scores[int(np.argmax(scores.score))]
+    """The first entry reaching d^2 - d, else the maximal one (first on ties)."""
+    reached = np.flatnonzero(scores.score >= scores.target)
+    return scores[int(reached[0]) if reached.size else int(np.argmax(scores.score))]
 
 
 def compute_q_paths(paths: tuple, a_mask: np.ndarray, pool: ExtenderPool) -> QPaths:

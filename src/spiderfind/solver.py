@@ -1,13 +1,14 @@
 """End-to-end spider construction with proof-inequality instrumentation.
 
 Pipeline: regularize to exact out-degree d = 2l, partition by in-degree,
-pick the root maximizing d*|A_r| + |VB_r|, classify strong extenders,
-enumerate surviving 2-paths, edge-color the extension graph and lift the
-largest color class to a base spider, then greedily extend with strong
-extenders until l legs.  Every inequality the construction relies on is
-recorded in the trace here, and only here, and enforced in one loop on
-every run; each is a theorem, so a violation can only mean a bug, never bad
-input.  The spider is always re-verified against the input.
+pick the first root, by in-degree, whose score d*|A_r| + |VB_r| reaches
+d^2 - d, classify strong extenders, enumerate surviving 2-paths, edge-color
+the extension graph and lift the largest color class to a base spider, then
+greedily extend with strong extenders until l legs.  Every inequality the
+construction relies on is recorded in the trace here, and only here, and
+enforced in one loop on every run; each is a theorem, so a violation can
+only mean a bug, never bad input.  The spider is always re-verified against
+the input.
 """
 from __future__ import annotations
 

@@ -1,7 +1,10 @@
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
+
+import spiderfind.root_selection as root_selection
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -11,3 +14,17 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 settings.load_profile("default")
+
+
+@pytest.fixture
+def batch_sizes(monkeypatch):
+    """The size of every batch score_roots scores, in order."""
+    sizes = []
+    score_batch = root_selection._score_batch
+
+    def spied(g, a_mask, xs):
+        sizes.append(len(xs))
+        return score_batch(g, a_mask, xs)
+
+    monkeypatch.setattr(root_selection, "_score_batch", spied)
+    return sizes

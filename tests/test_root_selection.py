@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import spiderfind.root_selection as root_selection
 from spiderfind import (
     Digraph,
     ExtenderPool,
@@ -36,10 +37,7 @@ def vertex_set(mask):
 
 
 def brute_scores(g, a_mask, ell):
-    """{x: (upper, a_x, vb_x)} for every x in A, from in-neighbor sets.
-
-    `upper` is 2l*a_x + vb_x with the antiparallel correction left out.
-    """
+    """{x: (score, a_x, vb_x)} for every x in A, from in-neighbor sets."""
     in_nbrs = [set() for _ in range(g.n)]
     for u, v in g.edges():
         in_nbrs[v].add(u)
@@ -47,31 +45,29 @@ def brute_scores(g, a_mask, ell):
     for x in np.flatnonzero(a_mask).tolist():
         b_in = [b for b in in_nbrs[x] if not a_mask[b]]
         a_x = len(in_nbrs[x]) - len(b_in)
-        upper = 2 * ell * a_x + sum(len(in_nbrs[b]) for b in b_in)
         vb_x = sum(len(in_nbrs[b] - {x}) for b in b_in)
-        out[x] = (upper, a_x, vb_x)
+        out[x] = (2 * ell * a_x + vb_x, a_x, vb_x)
     return out
 
 
-def assert_exact_candidates(g, a_mask, ell):
-    """score_roots returns exactly the A vertices whose upper bound reaches
-    the largest lower bound upper - out_degree over A, each scored
-    exactly, and every other A vertex scores strictly below the maximum.
+def assert_scored_prefix(g, a_mask, ell):
+    """score_roots scores A exactly, in order of in-degree (highest first,
+    ties to the lowest id), in batches of 1, 2, 4, ..., and stops after the
+    first batch holding a member that reaches d^2 - d.
     """
     scores = score_roots(g, a_mask, ell)
     brute = brute_scores(g, a_mask, ell)
-    out_deg = g.out_degrees
-    floor = max(up - int(out_deg[x]) for x, (up, _, _) in brute.items())
-    cand = [x for x, (up, _, _) in brute.items() if up >= floor]
-    assert scores.xs.tolist() == cand
-    assert scores.a.tolist() == [brute[x][1] for x in cand]
-    assert scores.vb.tolist() == [brute[x][2] for x in cand]
-    assert scores.score.tolist() == [2 * ell * brute[x][1] + brute[x][2] for x in cand]
-    top = int(scores.score.max())
-    kept = set(cand)
-    for x, (_, a_x, vb_x) in brute.items():
-        if x not in kept:
-            assert 2 * ell * a_x + vb_x < top
+    in_deg = g.in_degrees
+    order = sorted(brute, key=lambda x: (-int(in_deg[x]), x))
+    d = 2 * ell
+    hits = [i for i, x in enumerate(order) if brute[x][0] >= d * d - d]
+    # Batch k holds positions 2^k - 1 .. 2^(k+1) - 2.
+    end = 2 ** (hits[0] + 1).bit_length() - 1 if hits else len(order)
+    prefix = order[:end]
+    assert scores.xs.tolist() == prefix
+    assert scores.score.tolist() == [brute[x][0] for x in prefix]
+    assert scores.a.tolist() == [brute[x][1] for x in prefix]
+    assert scores.vb.tolist() == [brute[x][2] for x in prefix]
     return scores, brute
 
 
@@ -114,14 +110,11 @@ class TestPartition:
 
 class TestScoreRoots:
     def test_k5(self):
+        # Every vertex scores 16 >= 12, so the first batch, vertex 0, suffices.
         g = gen_complete_digraph(5)
         a_mask = partition_by_in_degree(g, 2)
         scores = score_roots(g, a_mask, 2)
-        assert len(scores) == 5
-        for entry in scores:
-            assert entry.a_x == 4
-            assert entry.vb_x == 0
-            assert entry.score == 16
+        assert list(scores) == [RootScore(x=0, a_x=4, vb_x=0, score=16)]
 
     def test_three_b_feeders(self):
         # Root 0 has three in-neighbors in B, each with 5 other in-neighbors.
@@ -151,15 +144,16 @@ class TestScoreRoots:
     def test_matches_bruteforce(self, g_ell):
         g, ell = g_ell
         a_mask = partition_by_in_degree(g, ell)
-        scores, brute = assert_exact_candidates(g, a_mask, ell)
+        scores, brute = assert_scored_prefix(g, a_mask, ell)
         a_set = vertex_set(a_mask)
         b_set = vertex_set(~a_mask)
         for entry in scores:
             assert entry.a_x == brute_a_count(g, entry.x, a_set)
             assert entry.vb_x == brute_vb_count(g, entry.x, b_set)
-        # Over all of A, not just the candidates: highest score, smallest id.
-        best = max(brute, key=lambda x: (2 * ell * brute[x][1] + brute[x][2], -x))
-        assert select_root(scores).x == best
+        # The root is the first scored vertex that reaches d^2 - d.
+        d = 2 * ell
+        first = next(x for x in scores.xs.tolist() if brute[x][0] >= d * d - d)
+        assert select_root(scores).x == first
 
     @pytest.mark.parametrize(
         "g, ell",
@@ -173,16 +167,42 @@ class TestScoreRoots:
         ],
     )
     def test_all_ties_keep_every_a_vertex(self, g, ell):
+        # Every A vertex ties at one score reaching d^2 - d, so each is a
+        # valid root; the tie goes to the lowest id, which one batch scores.
         a_mask = partition_by_in_degree(g, ell)
-        scores, _ = assert_exact_candidates(g, a_mask, ell)
-        assert scores.xs.tolist() == np.flatnonzero(a_mask).tolist()
+        scores, brute = assert_scored_prefix(g, a_mask, ell)
+        assert len(brute) == a_mask.sum()
+        assert len({s for s, _, _ in brute.values()}) == 1
+        assert scores.xs.tolist() == np.flatnonzero(a_mask)[:1].tolist()
+        assert select_root(scores).score >= scores.target
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_pruning_drops_vertices_that_cannot_win(self, seed):
+        # Scoring stops at the first batch reaching d^2 - d, well short of A.
         g = gen_random_out_regular(5000, 20, seed)
         a_mask = partition_by_in_degree(g, 10)
         scores = score_roots(g, a_mask, 10)
         assert 0 < len(scores) < a_mask.sum()
+
+    def test_batches_double_until_a_member_reaches(self, batch_sizes):
+        # Vertex i of A = {0..9} has in-degree i // 3 + 1, fed by sources of
+        # in-degree 0, so every member scores 0 < d^2 - d = 2: all ten are
+        # scored, the highest in-degree first, and the maximum is kept.
+        # An edge 8 -> 9 from A lifts the first candidate, 9, to 2, and
+        # then one batch suffices.
+        edges = [(10 + k, i) for i in range(10) for k in range(i // 3 + 1)]
+        g = from_pairs(14, edges)
+        a_mask = manual_partition(14, range(10))
+        scores, _ = assert_scored_prefix(g, a_mask, 1)
+        assert batch_sizes == [1, 2, 4, 3]
+        assert scores.xs.tolist() == [9, 6, 7, 8, 3, 4, 5, 0, 1, 2]
+        assert select_root(scores) == RootScore(x=9, a_x=0, vb_x=0, score=0)
+
+        batch_sizes.clear()
+        g = from_pairs(14, edges + [(8, 9)])
+        scores, _ = assert_scored_prefix(g, a_mask, 1)
+        assert batch_sizes == [1]
+        assert select_root(scores) == RootScore(x=9, a_x=1, vb_x=0, score=2)
 
     def test_empty_a_class(self):
         g = gen_complete_digraph(5)
@@ -192,10 +212,10 @@ class TestScoreRoots:
     def test_exact_at_large_n_with_planted_antiparallel_pairs(self):
         # At n = 50,000 the pair keys x*n + b exceed the int32 range.  The
         # graph is 2-out-regular and made of 6,250 groups of eight, linked
-        # in a cycle and randomly relabeled.  Each group's hub z has an
-        # antiparallel pair with a B vertex, and scores 9 against an upper
-        # bound of 10; the other A vertices have upper bounds of at most 2,
-        # so every hub is a candidate and needs the correction.
+        # in a cycle and relabeled so that the hubs take the top ids.  Each
+        # group's hub z has the highest in-degree, 10, and an antiparallel
+        # pair with a B vertex, and scores 9 against 10 without the
+        # correction.
         n_groups, ell = 6_250, 1
         n = 8 * n_groups
         z, b, y1, y2, s11, s12, s21, s22 = (
@@ -209,18 +229,25 @@ class TestScoreRoots:
             (y1, z), (y1, z_next), (y2, z), (y2, z_next),
             (z, b), (z, y1_next), (b, z), (b, z_next),
         ]
-        perm = np.random.default_rng(20261018).permutation(n)
+        rng = np.random.default_rng(20261018)
+        perm = np.empty(n, dtype=np.int64)
+        perm[z] = n - n_groups + rng.permutation(n_groups)
+        perm[np.arange(n) % 8 != 0] = rng.permutation(n - n_groups)
         src = perm[np.concatenate([u for u, _ in pairs])]
         dst = perm[np.concatenate([v for _, v in pairs])]
         g = Digraph.from_edge_arrays(n, src, dst)
         a_mask = partition_by_in_degree(g, ell)
-        scores, brute = assert_exact_candidates(g, a_mask, ell)
 
-        hubs = sorted(perm[z].tolist())
-        assert scores.xs.tolist() == hubs
-        assert set(scores.score.tolist()) == {9}
-        assert len(brute) > len(hubs)
-        assert max(hubs) * n > 2**31
+        # The lowest hub is the first candidate and reaches d^2 - d = 2.
+        scores, _ = assert_scored_prefix(g, a_mask, ell)
+        hubs = np.sort(perm[z])
+        assert scores.xs.tolist() == [hubs[0]]
+        assert scores.score.tolist() == [9]
+        assert hubs[0] * n > 2**31
+
+        # One batch of every hub needs the correction for each of them.
+        a, vb = root_selection._score_batch(g, a_mask, hubs)
+        assert set((2 * ell * a + vb).tolist()) == {9}
 
 
 class TestSelectRoot:
@@ -246,6 +273,27 @@ class TestSelectRoot:
             ell=2,
         )
         assert scores.score.tolist() == [12, 11, 12]
+        assert select_root(scores).x == 1
+
+    def test_first_entry_reaching_the_bound_wins(self):
+        # With l = 2 the bound is 12: x=2 reaches it first, x=3 scores more.
+        scores = RootScores(
+            xs=np.array([1, 2, 3]),
+            a=np.array([2, 3, 5]),
+            vb=np.array([3, 0, 0]),
+            ell=2,
+        )
+        assert scores.score.tolist() == [11, 12, 20]
+        assert select_root(scores).x == 2
+
+    def test_maximum_when_no_entry_reaches_the_bound(self):
+        scores = RootScores(
+            xs=np.array([4, 1, 3]),
+            a=np.array([1, 2, 2]),
+            vb=np.array([1, 3, 3]),
+            ell=2,
+        )
+        assert scores.score.tolist() == [5, 11, 11]
         assert select_root(scores).x == 1
 
     @given(out_regular_digraphs(max_ell=4, max_n=40))

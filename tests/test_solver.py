@@ -162,6 +162,7 @@ class TestAntiparallelPaths:
         out = find_spider(g, 2)
         assert verify_spider(g, out.spider, 2) is None
         assert all(c.passed for c in out.trace.checks)
+        assert out.trace.root == 0
         assert out.trace.q_size == 6 and out.trace.s == 1
         coverage = [c for c in out.trace.checks if c.name == "s(2l-1) >= |E(H_t)|"]
         assert [(c.lhs, c.rhs) for c in coverage] == [(3, 3)]
@@ -171,8 +172,9 @@ def few_extenders_instance() -> Digraph:
     """6-out-regular graph whose chosen root 5 has a + c = 2 < l = 3.
 
     That makes the |Q_r| bound positive, 30 - 2 * 11 = 8 against
-    |Q_r| = 19, which the root-score maximization all but rules out on
-    random regular graphs.  Found by local search over edge rewirings.
+    |Q_r| = 19.  On random regular graphs the first candidate by in-degree
+    almost always has a >= l, which rules this out.  Found by local search
+    over edge rewirings.
     """
     rows = [
         [1, 6, 7, 8, 11, 12], [2, 5, 9, 10, 11, 14], [1, 5, 8, 9, 10, 12],
@@ -182,6 +184,46 @@ def few_extenders_instance() -> Digraph:
         [2, 3, 6, 7, 8, 14], [0, 4, 5, 6, 7, 9], [0, 4, 5, 6, 9, 12],
     ]
     return from_pairs(15, [(v, u) for v, row in enumerate(rows) for u in row])
+
+
+class TestFewExtenders:
+    def test_root_and_bound(self):
+        g = few_extenders_instance()
+        out = find_spider(g, 3)
+        assert verify_spider(g, out.spider, 3) is None
+        assert out.trace.root == 5
+        assert out.trace.a + out.trace.c == 2 and out.trace.q_size == 19
+
+
+def three_batch_instance() -> Digraph:
+    """2-out-regular graph whose first three root candidates score 0 < 2.
+
+    The hubs 0, 1, 2 have in-degree 3, the highest, and are fed only by the
+    sources 3..7 of in-degree 0, so they have no A in-neighbor and no 2-path
+    through B.  The hubs point into 8..14, which also have in-degree 3 and
+    an in-neighbor in A, so the third batch, 8..11, holds the root 8.
+    """
+    rows = [
+        [8, 9], [10, 11], [12, 13], [0, 1], [0, 2], [1, 2], [0, 1], [2, 8],
+        [9, 14], [10, 14], [11, 14], [12, 13], [13, 9], [8, 10], [11, 12],
+    ]
+    return from_pairs(15, [(v, u) for v, row in enumerate(rows) for u in row])
+
+
+class TestRootBatches:
+    """The root is the first candidate, by in-degree, that reaches d^2 - d."""
+
+    def test_later_batch_runs_inside_find_spider(self, batch_sizes):
+        g = three_batch_instance()
+        out = find_spider(g, 1)
+        assert verify_spider(g, out.spider, 1) is None
+        assert all(c.passed for c in out.trace.checks)
+        assert out.trace.root == 8
+        assert batch_sizes == [1, 2, 4]
+        a_size = int((g.in_degrees >= 2).sum())
+        assert a_size == 10
+        # At most floor(log2 |A|) + 1 batches.
+        assert len(batch_sizes) <= a_size.bit_length()
 
 
 def _low_score(select_root, ell):
