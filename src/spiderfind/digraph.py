@@ -110,6 +110,8 @@ class Digraph:
             raise ValueError("vertex count must be non-negative")
         src = np.asarray(src)
         dst = np.asarray(dst)
+        if src.ndim != 1 or src.shape != dst.shape:
+            raise ValueError("src and dst must be 1-D arrays of equal length")
         if src.size and (src.min() < 0 or src.max() >= n):
             raise ValueError("source vertex out of range")
         if dst.size and (dst.min() < 0 or dst.max() >= n):
@@ -452,13 +454,17 @@ def gen_regular_tournament(n: int, seed: int) -> Digraph:
 
 
 def extract_exact_outdegree_subgraph(g: Digraph, d: int) -> Digraph:
-    """Spanning subgraph where every vertex keeps its first d out-edges."""
+    """Spanning subgraph where every vertex keeps its first d out-edges.
+
+    Raises ValueError for the empty graph (it has no minimum out-degree)
+    and PreconditionOutDegree when some vertex has fewer than d out-edges.
+    """
     if d < 0:
         raise ValueError("d must be >= 0")
-    deg = g.out_degrees
-    if g.n and deg.min() < d:
-        raise PreconditionOutDegree(int(deg.min()), d)
-    if g.n == 0 or bool((deg == d).all()):
+    mo = min_out_degree(g)
+    if mo < d:
+        raise PreconditionOutDegree(mo, d)
+    if bool((g.out_degrees == d).all()):
         return g
     starts = g._indptr[:-1]
     take = (starts[:, None] + np.arange(d, dtype=np.int64)).ravel()

@@ -204,8 +204,6 @@ def _flip_chain(start, a, b, col, free, at):
         chain.append((z, w, e))
         z = w
         cur = a if cur == b else b
-    if not chain:
-        return
     for u, v, e in chain:
         c = col[e]
         del at[u][c]

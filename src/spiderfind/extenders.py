@@ -100,8 +100,6 @@ def greedy_extend(paths: tuple, base: Spider, f_seq: Sequence[int]) -> Spider:
     spider_verts = base.vertices()
     if spider_verts & set(f_list):
         raise ValueError("f_seq must be disjoint from the base spider")
-    if not f_list:
-        return base
 
     in_r, leaf, mid = paths
     n = in_r.shape[0]

@@ -17,14 +17,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .digraph import Digraph, extract_exact_outdegree_subgraph, min_out_degree
+from .digraph import Digraph, extract_exact_outdegree_subgraph
 from .edge_coloring import (
     build_extension_graph,
     largest_color_class,
     truncate_for_coloring,
     vizing_color,
 )
-from .errors import InternalInvariantError, PreconditionOutDegree
+from .errors import InternalInvariantError
 from .extenders import greedy_extend, strong_extender_pool
 from .root_selection import (
     compute_q_paths,
@@ -68,8 +68,9 @@ class SolveOutcome:
     trace: SolveTrace
 
 
-def _check(name: str, lhs: int, rhs: int, ge: bool = True) -> ProofCheck:
-    passed = lhs >= rhs if ge else lhs <= rhs
+def _check(name: str, lhs: int, rhs: int) -> ProofCheck:
+    """Record one proof inequality; its operator is the one `name` contains."""
+    passed = lhs >= rhs if ">=" in name else lhs <= rhs
     return ProofCheck(name=name, lhs=int(lhs), rhs=int(rhs), passed=passed)
 
 
@@ -85,10 +86,6 @@ def find_spider(g: Digraph, ell: int, mode: str = "checked") -> SolveOutcome:
     if ell < 1:
         raise ValueError("ell must be >= 1")
     d = 2 * ell
-    mo = min_out_degree(g)
-    if mo < d:
-        raise PreconditionOutDegree(mo, d)
-
     work = extract_exact_outdegree_subgraph(g, d)
     a_mask = partition_by_in_degree(work, ell)
     if not a_mask.any():
@@ -125,8 +122,8 @@ def find_spider(g: Digraph, ell: int, mode: str = "checked") -> SolveOutcome:
             q_size,
             d * d - d - (a + c) * (4 * ell - 1),
         ),
-        _check("max_deg(H) <= 2l - 2", h.max_degree, 2 * ell - 2, ge=False),
-        _check("palette <= 2l - 1", coloring.palette, 2 * ell - 1, ge=False),
+        _check("max_deg(H) <= 2l - 2", h.max_degree, 2 * ell - 2),
+        _check("palette <= 2l - 1", coloring.palette, 2 * ell - 1),
         # Pigeonhole: a largest class covers |E(H_t)| / palette edges.
         _check("s(2l-1) >= |E(H_t)|", s * (2 * ell - 1), ht.num_edges),
         _check("a + c + s >= l", a + c + s, ell),

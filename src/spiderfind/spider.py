@@ -49,9 +49,7 @@ class ViolationKind(enum.Enum):
 @dataclass(frozen=True)
 class ViolationReport:
     kind: ViolationKind
-    vertices: tuple[int, ...] = ()
-    edge: Optional[tuple[int, int]] = None
-    message: str = ""
+    message: str
 
     def __str__(self) -> str:
         return self.message
@@ -70,7 +68,7 @@ def verify_spider(g: Digraph, s: Spider, ell: int) -> Optional[ViolationReport]:
     if len(s.legs) != ell:
         return ViolationReport(
             ViolationKind.WRONG_LEG_COUNT,
-            message=f"expected {ell} legs, found {len(s.legs)}",
+            f"expected {ell} legs, found {len(s.legs)}",
         )
     seen = {s.root}
     for leaf, mid in s.legs:
@@ -78,28 +76,24 @@ def verify_spider(g: Digraph, s: Spider, ell: int) -> Optional[ViolationReport]:
             if v == s.root:
                 return ViolationReport(
                     ViolationKind.ROOT_IN_LEG,
-                    vertices=(v,),
-                    message=f"root {s.root} appears inside a leg",
+                    f"root {s.root} appears inside a leg",
                 )
             if v in seen:
                 return ViolationReport(
                     ViolationKind.REPEATED_VERTEX,
-                    vertices=(v,),
-                    message=f"vertex {v} appears more than once",
+                    f"vertex {v} appears more than once",
                 )
             seen.add(v)
     for leaf, mid in s.legs:
         if not g.has_edge(leaf, mid):
             return ViolationReport(
                 ViolationKind.MISSING_EDGE,
-                edge=(leaf, mid),
-                message=f"edge {leaf} -> {mid} not in graph",
+                f"edge {leaf} -> {mid} not in graph",
             )
         if not g.has_edge(mid, s.root):
             return ViolationReport(
                 ViolationKind.MISSING_EDGE,
-                edge=(mid, s.root),
-                message=f"edge {mid} -> {s.root} not in graph",
+                f"edge {mid} -> {s.root} not in graph",
             )
     return None
 

@@ -24,8 +24,8 @@ from spiderfind import (
     max_spider_at_root,
     min_out_degree,
     verify_spider,
-    vizing_color,
 )
+from spiderfind.edge_coloring import vizing_color
 
 REQUIRED_CHECKS = [
     "score >= d^2 - d",

@@ -9,7 +9,6 @@ from spiderfind import (
     Digraph,
     EdgeListError,
     PreconditionOutDegree,
-    extract_exact_outdegree_subgraph,
     gen_complete_digraph,
     gen_random_out_regular,
     gen_regular_tournament,
@@ -23,7 +22,13 @@ from reference import (
     from_pairs,
     reference_write_edge_list,
 )
-from spiderfind.digraph import _GATHER_CHUNK, _bincount, _gather, _parse_lines
+from spiderfind.digraph import (
+    _GATHER_CHUNK,
+    _bincount,
+    _gather,
+    _parse_lines,
+    extract_exact_outdegree_subgraph,
+)
 from strategies import digraphs
 
 # Vertex counts where the widest id gains a digit, and a few between.
@@ -354,6 +359,24 @@ class TestRegularTournament:
         )
 
 
+class TestFromEdgeArrays:
+    @pytest.mark.parametrize(
+        "src, dst",
+        [
+            ([0], [1, 2, 3]),
+            ([0, 1], [1, 2, 3]),
+            (np.zeros((0, 2)), np.zeros((0, 2))),
+        ],
+        ids=["shorter-dst", "unbroadcastable", "two-dimensional"],
+    )
+    def test_shapes_must_match(self, src, dst):
+        src, dst = np.asarray(src, np.int64), np.asarray(dst, np.int64)
+        with pytest.raises(
+            ValueError, match="^src and dst must be 1-D arrays of equal length$"
+        ):
+            Digraph.from_edge_arrays(5, src, dst)
+
+
 class TestExtract:
     def test_identity_on_exact(self):
         g = gen_complete_digraph(5)
@@ -373,6 +396,12 @@ class TestExtract:
         with pytest.raises(PreconditionOutDegree) as exc:
             extract_exact_outdegree_subgraph(tri, 2)
         assert (exc.value.min_out, exc.value.needed) == (1, 2)
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(
+            ValueError, match="^empty graph has no minimum out-degree$"
+        ):
+            extract_exact_outdegree_subgraph(from_pairs(0, []), 0)
 
     @given(digraphs(min_n=2, max_n=9), st.integers(0, 3))
     def test_subset_and_exact_degree(self, g, d):

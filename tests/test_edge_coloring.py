@@ -3,19 +3,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spiderfind.edge_coloring as ec
-from spiderfind import (
-    QPaths,
-    Spider,
+from spiderfind import Spider, verify_spider
+from spiderfind.edge_coloring import (
     build_extension_graph,
     largest_color_class,
+    truncate_for_coloring,
+    vizing_color,
+)
+from spiderfind.extenders import strong_extender_pool
+from spiderfind.root_selection import (
+    QPaths,
     partition_by_in_degree,
     score_roots,
     select_root,
     compute_q_paths,
-    strong_extender_pool,
-    truncate_for_coloring,
-    vizing_color,
-    verify_spider,
 )
 from reference import check_proper_coloring, make_h
 from strategies import out_regular_digraphs

@@ -7,11 +7,10 @@ from spiderfind import (
     InternalInvariantError,
     Spider,
     gen_complete_digraph,
-    greedy_extend,
-    partition_by_in_degree,
-    strong_extender_pool,
     verify_spider,
 )
+from spiderfind.extenders import greedy_extend, strong_extender_pool
+from spiderfind.root_selection import partition_by_in_degree
 from reference import brute_extension_set, brute_greedy_extend, from_pairs
 from strategies import digraphs, out_regular_digraphs
 

@@ -5,17 +5,18 @@ from hypothesis import given, settings
 import spiderfind.root_selection as root_selection
 from spiderfind import (
     Digraph,
-    ExtenderPool,
-    RootScore,
-    RootScores,
-    compute_q_paths,
     gen_complete_digraph,
     gen_random_out_regular,
     gen_regular_tournament,
+)
+from spiderfind.extenders import ExtenderPool, strong_extender_pool
+from spiderfind.root_selection import (
+    RootScore,
+    RootScores,
+    compute_q_paths,
     partition_by_in_degree,
     score_roots,
     select_root,
-    strong_extender_pool,
 )
 from reference import (
     brute_a_count,
@@ -85,6 +86,16 @@ class TestPartition:
     def test_non_regular_rejected(self):
         with pytest.raises(ValueError):
             partition_by_in_degree(gen_complete_digraph(4), 2)
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="^cannot partition the empty graph$"):
+            partition_by_in_degree(from_pairs(0, []), 1)
+
+    def test_out_degree_must_be_exact(self):
+        with pytest.raises(
+            ValueError, match="^vertex 0 has out-degree 4, expected exactly 2$"
+        ):
+            partition_by_in_degree(gen_complete_digraph(5), 1)
 
     def test_threshold_split(self):
         # 2-out-regular on 6 vertices; in-degrees vary around the threshold.

@@ -10,10 +10,8 @@ import spiderfind.edge_coloring as edge_coloring
 import spiderfind.solver as solver
 from spiderfind import (
     Digraph,
-    ExtenderPool,
     InternalInvariantError,
     PreconditionOutDegree,
-    QPaths,
     explain_trace,
     find_spider,
     format_spider,
@@ -22,6 +20,8 @@ from spiderfind import (
     parse_edge_list,
     verify_spider,
 )
+from spiderfind.extenders import ExtenderPool
+from spiderfind.root_selection import QPaths
 from reference import from_pairs
 from strategies import min_out_degree_digraphs, out_regular_digraphs
 

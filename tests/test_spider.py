@@ -27,7 +27,7 @@ class TestVerify:
         report = verify_spider(g, Spider(0, ((1, 1),)), 1)
         assert report is not None
         assert report.kind is ViolationKind.REPEATED_VERTEX
-        assert report.vertices == (1,)
+        assert str(report) == "vertex 1 appears more than once"
 
     def test_triangle_path(self):
         # 1 -> 2 -> 0 is one of the triangle's two simple 2-paths into 0.
@@ -56,13 +56,13 @@ class TestVerify:
         g = gen_complete_digraph(7)
         report = verify_spider(g, Spider(0, ((1, 2), (3, 2))), 2)
         assert report.kind is ViolationKind.REPEATED_VERTEX
-        assert report.vertices == (2,)
+        assert str(report) == "vertex 2 appears more than once"
 
     def test_missing_edge_detail(self):
         g = parse_edge_list("4 2\n1 2\n3 0\n")
         report = verify_spider(g, Spider(0, ((1, 2),)), 1)
         assert report.kind is ViolationKind.MISSING_EDGE
-        assert report.edge == (2, 0)
+        assert str(report) == "edge 2 -> 0 not in graph"
 
     def test_check_order_leg_count_first(self):
         g = gen_complete_digraph(3)
