@@ -4,9 +4,11 @@ A Digraph is an immutable simple directed graph (antiparallel pairs allowed,
 no loops, no duplicate edges) over dense 0-based vertex ids.  Out-adjacency
 is the only stored adjacency, CSR-style in two numpy arrays.  In-degrees and
 the per-edge source array are derived lazily and cached.  The one
-in-adjacency query, `two_paths_into(r)`, returns N^-(r) and every 2-path
-into r from a scan of the edges.  Per-edge values come from the CSR rows
-(`np.repeat(values, out_degrees)`) and from `_gather(values, edge_dst)`.
+in-adjacency primitive, `edges_into(mask)`, finds the edges into a vertex
+set with one `_gather(mask, edge_dst)` and reads their tails from the CSR
+row bounds; `edges_out_of(xs)` reads the rows of `xs`.  Neither builds the
+per-edge source array.  `two_paths_into(r, in_nbrs)` is one `edges_into`
+call.
 """
 from __future__ import annotations
 
@@ -158,20 +160,40 @@ class Digraph:
         """Per-edge destination vertex, in out-adjacency order."""
         return self._indices
 
+    def edges_into(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every edge tail -> head with mask[head], in out-adjacency order.
+
+        Edge e lies in the row of the last vertex whose row starts at or
+        before e; side="right" skips the repeated starts of empty rows.
+        """
+        e = np.flatnonzero(_gather(mask, self._indices))
+        tail = np.searchsorted(self._indptr, e, side="right") - 1
+        return tail.astype(np.int32), self._indices[e]
+
+    def edges_out_of(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every edge tail -> head with tail in `xs`: the rows of `xs`, in
+        the order of `xs`, read without a scan.
+        """
+        starts = self._indptr[xs]
+        deg = self._indptr[xs + 1] - starts
+        # Edge ids starts[i] .. starts[i] + deg[i] - 1 for each i, in one run.
+        e = np.repeat(starts - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
+        return np.repeat(xs, deg).astype(np.int32), self._indices[e]
+
     def two_paths_into(
-        self, r: int
+        self, r: int, in_nbrs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """N^-(r) as a boolean mask, and every 2-path leaf -> mid -> r.
 
+        `in_nbrs` lists N^-(r), as a scan of the edges into r found it.
         `leaf` and `mid` list the paths with leaf != r in out-adjacency
-        order of their first edge leaf -> mid.
+        order of their first edge leaf -> mid; r's own row is one slice.
         """
-        src = self.edge_src
-        dst = self._indices
         in_r = np.zeros(self.n, dtype=bool)
-        in_r[src[dst == r]] = True
-        sel = np.flatnonzero(_gather(in_r, dst) & (src != r))
-        return in_r, src[sel], dst[sel]
+        in_r[in_nbrs] = True
+        leaf, mid = self.edges_into(in_r)
+        own = np.s_[np.searchsorted(leaf, r) : np.searchsorted(leaf, r + 1)]
+        return in_r, np.delete(leaf, own), np.delete(mid, own)
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):

@@ -40,8 +40,9 @@ class ExtenderPool:
 
 def _extension_keys(
     n: int, leaf: np.ndarray, mid: np.ndarray, xs: np.ndarray
-) -> np.ndarray:
-    """O(x, r) for every x in `xs`, as ascending keys x*n + y.
+) -> tuple[np.ndarray, np.ndarray]:
+    """O(x, r) for every x in `xs`, as ascending keys x*n + y, and the
+    ascending keys of its forward part, the y with x -> y -> r.
 
     `leaf` and `mid` are the 2-paths leaf -> mid -> r with leaf != r.
     """
@@ -49,13 +50,16 @@ def _extension_keys(
     want[xs] = True
     fwd = want[leaf]
     bwd = want[mid]
-    keys = np.concatenate((leaf[fwd], mid[bwd])).astype(np.int64) * n
-    keys += np.concatenate((mid[fwd], leaf[bwd]))
-    return _sorted_distinct(keys)
+    forward = leaf[fwd].astype(np.int64) * n + mid[fwd]
+    backward = mid[bwd].astype(np.int64) * n + leaf[bwd]
+    # The graph is simple, so the forward keys are already distinct.
+    forward.sort()
+    return _sorted_distinct(np.concatenate((forward, backward))), forward
 
 
 def strong_extender_pool(paths: tuple, ell: int, a_mask: np.ndarray) -> ExtenderPool:
-    """Classify every (2l-1)-extender for r from `Digraph.two_paths_into(r)`.
+    """Classify every (2l-1)-extender for r from its 2-paths `paths`, the
+    result of `Digraph.two_paths_into(r, in_nbrs)`.
 
     a_r is N^-(r) intersected with the high-in-degree class `a_mask`, a
     boolean mask over [0, n); each of its members is automatically strong
@@ -76,7 +80,8 @@ def strong_extender_pool(paths: tuple, ell: int, a_mask: np.ndarray) -> Extender
     # clause; take the exact size of O(x, r) just for the unresolved ones.
     cand = in_r_vertices[~a_mask[in_r_vertices]]
     cand = cand[count1[cand] < thr]
-    sizes = np.bincount(_extension_keys(n, leaf, mid, cand) // n, minlength=n)
+    keys, _ = _extension_keys(n, leaf, mid, cand)
+    sizes = np.bincount(keys // n, minlength=n)
     strong_mask[cand[sizes[cand] >= thr]] = True
 
     strong_mask[a_r] = False
@@ -86,13 +91,14 @@ def strong_extender_pool(paths: tuple, ell: int, a_mask: np.ndarray) -> Extender
 def greedy_extend(paths: tuple, base: Spider, f_seq: Sequence[int]) -> Spider:
     """Attach one leg per f_seq vertex, in order, onto the base spider.
 
-    The root r comes from `base.root`; `paths` is `Digraph.two_paths_into(r)`.
-    Each x in f_seq must be a sufficiently large extender for r (position i,
-    1-based, needs |O(x, r)| >= f + 2s + i - 1 where f = len(f_seq) and s is
-    the base leg count); under that precondition an attachment vertex always
-    exists.  The attachment y is the smallest-id member of O(x, r) outside
-    the current spider and the unprocessed tail of f_seq; the leg is
-    oriented x -> y -> r when that path exists, else y -> x -> r.
+    The root r comes from `base.root`; `paths` is
+    `Digraph.two_paths_into(r, in_nbrs)`.  Each x in f_seq must be a
+    sufficiently large extender for r (position i, 1-based, needs
+    |O(x, r)| >= f + 2s + i - 1 where f = len(f_seq) and s is the base leg
+    count); under that precondition an attachment vertex always exists.  The
+    attachment y is the smallest-id member of O(x, r) outside the current
+    spider and the unprocessed tail of f_seq; the leg is oriented
+    x -> y -> r when that path exists, else y -> x -> r.
     """
     f_list = [int(x) for x in f_seq]
     if len(set(f_list)) != len(f_list):
@@ -104,10 +110,10 @@ def greedy_extend(paths: tuple, base: Spider, f_seq: Sequence[int]) -> Spider:
     in_r, leaf, mid = paths
     n = in_r.shape[0]
     xs = np.asarray(f_list, dtype=np.int64)
-    keys = _extension_keys(n, leaf, mid, xs)
+    keys, forward = _extension_keys(n, leaf, mid, xs)
     bounds = np.searchsorted(keys, xs * n).tolist()
     ends = np.searchsorted(keys, xs * n + n).tolist()
-    legs = list(base.legs)
+    ys = []
     blocked = spider_verts | set(f_list)
     for x, b, e in zip(f_list, bounds, ends):
         blocked.discard(x)
@@ -117,7 +123,12 @@ def greedy_extend(paths: tuple, base: Spider, f_seq: Sequence[int]) -> Spider:
             raise InternalInvariantError(
                 f"no attachment vertex available for extender {x}"
             )
-        legs.append((x, y) if y in mid[leaf == x] else (y, x))
+        ys.append(y)
         blocked.add(x)
         blocked.add(y)
-    return Spider(root=base.root, legs=tuple(legs))
+    # A leg x, y is forward exactly when its key x*n + y is in `forward`.
+    leg_keys = xs * n + np.asarray(ys, dtype=np.int64)
+    lo = np.searchsorted(forward, leg_keys)
+    is_fwd = (np.searchsorted(forward, leg_keys, side="right") > lo).tolist()
+    legs = [(x, y) if f else (y, x) for x, y, f in zip(f_list, ys, is_fwd)]
+    return Spider(root=base.root, legs=(*base.legs, *legs))

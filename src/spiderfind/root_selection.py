@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .digraph import Digraph, _bincount, _gather
+from .digraph import Digraph, _bincount
 from .extenders import ExtenderPool
 
 __all__ = [
@@ -40,15 +40,25 @@ class RootScores(Sequence[RootScore]):
     """Exact scores of the root candidates, array-backed.
 
     `xs` lists the candidates in the order they are visited; `target` is
-    d^2 - d, the score the chosen root must reach.
+    d^2 - d, the score the chosen root must reach.  `in_edges` is the pair
+    (tail, head) of the edges into the last batch scored, the batch that
+    holds the first candidate reaching `target`.
     """
 
-    def __init__(self, xs: np.ndarray, a: np.ndarray, vb: np.ndarray, ell: int):
+    def __init__(
+        self,
+        xs: np.ndarray,
+        a: np.ndarray,
+        vb: np.ndarray,
+        ell: int,
+        in_edges: tuple[np.ndarray, np.ndarray],
+    ):
         self.xs = xs
         self.a = a
         self.vb = vb
         self.score = 2 * ell * a + vb
         self.target = 4 * ell * ell - 2 * ell
+        self.in_edges = in_edges
 
     def __len__(self) -> int:
         return int(self.xs.shape[0])
@@ -92,30 +102,30 @@ def partition_by_in_degree(g: Digraph, ell: int) -> np.ndarray:
 
 def _score_batch(
     g: Digraph, a_mask: np.ndarray, xs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """a_x = |N^-(x) & A| and vb_x, the sum over B-in-neighbors b of
-    |N^-(b) \\ {x}|, for each vertex x of `xs`, from the edges into and out
-    of `xs`.
+    |N^-(b) \\ {x}|, for each vertex x of `xs`, and the edges into `xs`.
+
+    The edges into the batch come from one `Digraph.edges_into` scan, and
+    the edges out of it from `Digraph.edges_out_of`, which scans nothing.
     """
     n = g.n
     in_batch = np.zeros(n, dtype=bool)
     in_batch[xs] = True
-    into = np.flatnonzero(_gather(in_batch, g.edge_dst))
-    feeder = g.edge_src[into]
-    x_of = g.edge_dst[into]
+    feeder, x_of = g.edges_into(in_batch)
     from_a = a_mask[feeder]
     # b -> x contributes |N^-(b)| minus one when the path v = x would repeat,
     # i.e. when the antiparallel edge x -> b is also present.  The graph is
     # simple, so that edge exists exactly when its key x*n + b is among the
     # keys of the edges out of the batch.
-    out = np.flatnonzero(np.repeat(in_batch, g.out_degrees))
+    x_out, y_out = g.edges_out_of(xs)
     back = np.isin(
-        x_of.astype(np.int64) * n + feeder,
-        g.edge_src[out].astype(np.int64) * n + g.edge_dst[out],
+        x_of.astype(np.int64) * n + feeder, x_out.astype(np.int64) * n + y_out
     )
     vb = np.where(from_a, 0, g.in_degrees[feeder] - back)
     # Integer weights below 2^53 sum exactly in float64.
-    return _bincount(x_of[from_a], n)[xs], _bincount(x_of, n, vb)[xs].astype(np.int64)
+    a = _bincount(x_of[from_a], n)[xs]
+    return a, _bincount(x_of, n, vb)[xs].astype(np.int64), (feeder, x_of)
 
 
 def score_roots(g: Digraph, a_mask: np.ndarray, ell: int) -> RootScores:
@@ -124,7 +134,9 @@ def score_roots(g: Digraph, a_mask: np.ndarray, ell: int) -> RootScores:
 
     Candidates go by in-degree, highest first, with ties to the lowest id,
     and are scored in batches of 1, 2, 4, ...  Averaging over A guarantees
-    a member reaching d^2 - d, so at most floor(log2 |A|) + 1 batches run.
+    a member reaching d^2 - d, so at most floor(log2 |A|) + 1 batches run,
+    each one `Digraph.edges_into` scan.  The last batch's in-edges are kept,
+    so the chosen root's in-neighbors need no further scan.
     """
     n = g.n
     in_deg = g.in_degrees
@@ -133,12 +145,17 @@ def score_roots(g: Digraph, a_mask: np.ndarray, ell: int) -> RootScores:
     # candidate order; a key sort measured 4x faster than a stable argsort.
     order = np.sort((in_deg.max() - in_deg[xs]) * n + xs) % n
     none = np.empty(0, dtype=np.int64)
-    scores = RootScores(xs=order[:0], a=none, vb=none, ell=ell)
+    no_ids = np.empty(0, dtype=np.int32)
+    scores = RootScores(order[:0], none, none, ell, (no_ids, no_ids))
     while len(scores) < order.shape[0] and not (scores.score >= scores.target).any():
         end = 2 * len(scores) + 1
-        a, vb = _score_batch(g, a_mask, order[len(scores) : end])
+        a, vb, in_edges = _score_batch(g, a_mask, order[len(scores) : end])
         scores = RootScores(
-            order[:end], np.append(scores.a, a), np.append(scores.vb, vb), ell
+            order[:end],
+            np.append(scores.a, a),
+            np.append(scores.vb, vb),
+            ell,
+            in_edges,
         )
     return scores
 
@@ -152,8 +169,9 @@ def select_root(scores: RootScores) -> RootScore:
 def compute_q_paths(paths: tuple, a_mask: np.ndarray, pool: ExtenderPool) -> QPaths:
     """All v -> b -> r with b in B, avoiding r and every strong extender.
 
-    `paths` is `Digraph.two_paths_into(r)`.  The count is guaranteed to be
-    at least d^2 - d - (a+c)(4l-1), a bound that may be vacuously negative.
+    `paths` is `Digraph.two_paths_into(r, in_nbrs)`.  The count is
+    guaranteed to be at least d^2 - d - (a+c)(4l-1), a bound that may be
+    vacuously negative.
     """
     in_r, leaf, mid = paths
     excluded = np.zeros(in_r.shape[0], dtype=bool)

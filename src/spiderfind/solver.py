@@ -97,8 +97,10 @@ def find_spider(g: Digraph, ell: int, mode: str = "checked") -> SolveOutcome:
     root_score = select_root(scores)
     r = root_score.x
 
-    # Every later stage reads the root through its 2-paths, found once.
-    paths = work.two_paths_into(r)
+    # Every later stage reads the root through its 2-paths, found once.  r
+    # is in the last batch scored, so its in-neighbors come from that scan.
+    tail, head = scores.in_edges
+    paths = work.two_paths_into(r, tail[head == r])
     pool = strong_extender_pool(paths, ell, a_mask)
     a = len(pool.a_r)
     c = len(pool.c_r)

@@ -34,6 +34,11 @@ def brute_in_neighbors(g: Digraph, v: int) -> list[int]:
     return sorted(u for u, w in g.edges() if w == v)
 
 
+def paths_into(g: Digraph, r: int):
+    """`g.two_paths_into(r, in_nbrs)`, with N^-(r) from `brute_in_neighbors`."""
+    return g.two_paths_into(r, np.asarray(brute_in_neighbors(g, r), dtype=np.int64))
+
+
 def brute_extension_set(g: Digraph, x: int, r: int) -> set[int]:
     """O(x, r) by scanning every vertex against the defining predicate."""
     edges = edge_set(g)

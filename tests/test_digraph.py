@@ -20,6 +20,7 @@ from reference import (
     brute_in_neighbors,
     brute_two_paths_to,
     from_pairs,
+    paths_into,
     reference_write_edge_list,
 )
 from spiderfind.digraph import (
@@ -125,8 +126,9 @@ def out_rows(g: Digraph) -> list[np.ndarray]:
 
 
 def assert_two_paths_into(g: Digraph, r: int) -> None:
-    """two_paths_into(r) agrees with edge scans, paths in edge order."""
-    in_r, leaf, mid = g.two_paths_into(r)
+    """two_paths_into(r, N^-(r)) agrees with edge scans, paths in edge order."""
+    in_r, leaf, mid = paths_into(g, r)
+    assert leaf.dtype == mid.dtype == np.int32
     assert np.flatnonzero(in_r).tolist() == brute_in_neighbors(g, r)
     paths = list(zip(leaf.tolist(), mid.tolist()))
     expected = set(brute_two_paths_to(g, r))
@@ -449,6 +451,83 @@ class TestTwoPathsInto:
         assert g.m >= 3 * _GATHER_CHUNK
         for r in (0, 2500, 4999):
             assert_two_paths_into(g, r)
+
+
+def assert_edges_into(g: Digraph, mask: np.ndarray) -> None:
+    """edges_into(mask) lists the edges into the mask in edge order, with
+    the tails `edge_src` holds.
+    """
+    tail, head = g.edges_into(mask)
+    assert tail.dtype == head.dtype == np.int32
+    e = np.flatnonzero(mask[g.edge_dst])
+    assert np.array_equal(tail, g.edge_src[e])
+    assert np.array_equal(head, g.edge_dst[e])
+
+
+# Graphs with out-degree-0 vertices at the first, a middle and the last id,
+# a run of them, and no edges at all.
+_EMPTY_ROW_GRAPHS = {
+    "first": (5, [(1, 2), (1, 0), (2, 1), (3, 4), (4, 1), (4, 0)]),
+    "middle": (5, [(0, 1), (0, 4), (1, 0), (1, 2), (3, 4), (4, 2)]),
+    "last": (5, [(0, 1), (1, 4), (2, 0), (3, 0), (3, 4), (3, 2)]),
+    "run": (6, [(0, 5), (0, 3), (5, 0), (5, 2)]),
+    "no_edges": (4, []),
+}
+
+
+class TestEdgesInto:
+    @pytest.mark.parametrize("name", list(_EMPTY_ROW_GRAPHS))
+    def test_every_mask_over_empty_rows(self, name):
+        n, pairs = _EMPTY_ROW_GRAPHS[name]
+        g = from_pairs(n, pairs)
+        assert name == "no_edges" or (g.out_degrees == 0).any()
+        for bits in range(2**n):
+            mask = np.array([(bits >> v) & 1 for v in range(n)], dtype=bool)
+            assert_edges_into(g, mask)
+
+    @pytest.mark.parametrize("name", list(_EMPTY_ROW_GRAPHS))
+    def test_empty_and_full_mask(self, name):
+        n, pairs = _EMPTY_ROW_GRAPHS[name]
+        g = from_pairs(n, pairs)
+        tail, head = g.edges_into(np.zeros(n, dtype=bool))
+        assert tail.size == head.size == 0
+        tail, head = g.edges_into(np.ones(n, dtype=bool))
+        # The pairs are listed by source, so they are in edge order.
+        assert list(zip(tail.tolist(), head.tolist())) == pairs
+
+    @given(digraphs(), st.data())
+    def test_matches_bruteforce(self, g, data):
+        bits = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+        assert_edges_into(g, np.array(bits, dtype=bool))
+
+    def test_matches_bruteforce_across_gather_slices(self):
+        g = gen_random_out_regular(5000, 40, 2)
+        assert g.m >= 3 * _GATHER_CHUNK
+        assert_edges_into(g, np.random.default_rng(0).random(g.n) < 0.01)
+
+
+def assert_edges_out_of(g: Digraph, xs: list[int]) -> None:
+    """edges_out_of(xs) lists the rows of `xs` in the order of `xs`."""
+    tail, head = g.edges_out_of(np.asarray(xs, dtype=np.int64))
+    assert tail.dtype == head.dtype == np.int32
+    pairs = list(zip(tail.tolist(), head.tolist()))
+    assert pairs == [(u, v) for x in xs for u, v in g.edges() if u == x]
+
+
+class TestEdgesOutOf:
+    @pytest.mark.parametrize("name", list(_EMPTY_ROW_GRAPHS))
+    def test_every_vertex_and_all_in_reverse(self, name):
+        n, pairs = _EMPTY_ROW_GRAPHS[name]
+        g = from_pairs(n, pairs)
+        assert_edges_out_of(g, [])
+        for v in range(n):
+            assert_edges_out_of(g, [v])
+        assert_edges_out_of(g, list(range(n))[::-1])
+
+    @given(digraphs(), st.data())
+    def test_matches_bruteforce(self, g, data):
+        xs = data.draw(st.lists(st.integers(0, g.n - 1), unique=True))
+        assert_edges_out_of(g, xs)
 
 
 _C = _GATHER_CHUNK

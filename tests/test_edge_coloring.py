@@ -18,7 +18,7 @@ from spiderfind.root_selection import (
     select_root,
     compute_q_paths,
 )
-from reference import check_proper_coloring, make_h
+from reference import check_proper_coloring, make_h, paths_into
 from strategies import out_regular_digraphs
 
 
@@ -221,8 +221,8 @@ class TestPayloadSoundness:
         g, ell = g_ell
         a_mask = partition_by_in_degree(g, ell)
         r = int(select_root(score_roots(g, a_mask, ell)).x)
-        pool = strong_extender_pool(g.two_paths_into(r), ell, a_mask)
-        q = compute_q_paths(g.two_paths_into(r), a_mask, pool)
+        pool = strong_extender_pool(paths_into(g, r), ell, a_mask)
+        q = compute_q_paths(paths_into(g, r), a_mask, pool)
         h = build_extension_graph(q)
         ht = truncate_for_coloring(h, ell)
         col = vizing_color(ht)

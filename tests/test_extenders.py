@@ -11,7 +11,12 @@ from spiderfind import (
 )
 from spiderfind.extenders import greedy_extend, strong_extender_pool
 from spiderfind.root_selection import partition_by_in_degree
-from reference import brute_extension_set, brute_greedy_extend, from_pairs
+from reference import (
+    brute_extension_set,
+    brute_greedy_extend,
+    from_pairs,
+    paths_into,
+)
 from strategies import digraphs, out_regular_digraphs
 
 # Edges 1->2, 2->0, 3->1, 1->0: vertex 2 reaches 0 through 1->2->0 and
@@ -30,7 +35,7 @@ def assert_pool_shape(pool):
 
 
 def strong_set(g, r, ell, a_mask):
-    pool = strong_extender_pool(g.two_paths_into(r), ell, a_mask)
+    pool = strong_extender_pool(paths_into(g, r), ell, a_mask)
     assert_pool_shape(pool)
     return set(pool.a_r.tolist()) | set(pool.c_r.tolist())
 
@@ -81,20 +86,20 @@ class TestStrongExtenderPool:
     def test_k5(self):
         g = gen_complete_digraph(5)
         pool = strong_extender_pool(
-            g.two_paths_into(0), 2, partition_by_in_degree(g, 2)
+            paths_into(g, 0), 2, partition_by_in_degree(g, 2)
         )
         assert pool.a_r.tolist() == [1, 2, 3, 4]
         assert pool.c_r.tolist() == []
 
     def test_second_clause_membership(self):
         g = from_pairs(3, [(1, 2), (2, 0)])
-        pool = strong_extender_pool(g.two_paths_into(0), 1, no_a(g))
+        pool = strong_extender_pool(paths_into(g, 0), 1, no_a(g))
         assert pool.a_r.tolist() == []
         assert pool.c_r.tolist() == [1, 2]
 
     def test_isolated_root(self):
         g = from_pairs(3, [(1, 2)])
-        pool = strong_extender_pool(g.two_paths_into(0), 1, no_a(g))
+        pool = strong_extender_pool(paths_into(g, 0), 1, no_a(g))
         assert pool.a_r.size == 0 and pool.c_r.size == 0
 
     @given(out_regular_digraphs(max_ell=3, max_n=22))
@@ -103,7 +108,7 @@ class TestStrongExtenderPool:
         g, ell = g_ell
         a_mask = partition_by_in_degree(g, ell)
         r = 0
-        pool = strong_extender_pool(g.two_paths_into(r), ell, a_mask)
+        pool = strong_extender_pool(paths_into(g, r), ell, a_mask)
         assert_pool_shape(pool)
         pooled = set(pool.a_r.tolist()) | set(pool.c_r.tolist())
         thr = 2 * ell - 1
@@ -122,11 +127,11 @@ class TestGreedyExtend:
     def test_empty_sequence_returns_base(self):
         g = gen_complete_digraph(5)
         base = Spider(0, ((1, 2),))
-        assert greedy_extend(g.two_paths_into(0), base, []) == base
+        assert greedy_extend(paths_into(g, 0), base, []) == base
 
     def test_k5_attaches_remaining_vertex(self):
         g = gen_complete_digraph(5)
-        out = greedy_extend(g.two_paths_into(0), Spider(0, ((1, 2),)), [3])
+        out = greedy_extend(paths_into(g, 0), Spider(0, ((1, 2),)), [3])
         assert out.legs == ((1, 2), (3, 4))
         assert verify_spider(g, out, 2) is None
 
@@ -136,27 +141,27 @@ class TestGreedyExtend:
             InternalInvariantError,
             match="^no attachment vertex available for extender 3$",
         ):
-            greedy_extend(CHAIN.two_paths_into(0), base, [3])
+            greedy_extend(paths_into(CHAIN, 0), base, [3])
 
     def test_prefers_extender_as_leaf(self):
         g = gen_complete_digraph(3)
-        out = greedy_extend(g.two_paths_into(0), Spider(0), [1])
+        out = greedy_extend(paths_into(g, 0), Spider(0), [1])
         assert out.legs == ((1, 2),)
 
     def test_reverse_orientation_used_when_needed(self):
         g = from_pairs(3, [(2, 1), (1, 0)])
-        out = greedy_extend(g.two_paths_into(0), Spider(0), [1])
+        out = greedy_extend(paths_into(g, 0), Spider(0), [1])
         assert out.legs == ((2, 1),)
         assert verify_spider(g, out, 1) is None
 
     def test_smallest_candidate_wins(self):
         g = gen_complete_digraph(5)
-        out = greedy_extend(g.two_paths_into(0), Spider(0), [1])
+        out = greedy_extend(paths_into(g, 0), Spider(0), [1])
         assert out.legs == ((1, 2),)
 
     def test_candidates_skip_pending_extenders(self):
         g = gen_complete_digraph(7)
-        out = greedy_extend(g.two_paths_into(0), Spider(0), [1, 2, 3])
+        out = greedy_extend(paths_into(g, 0), Spider(0), [1, 2, 3])
         assert verify_spider(g, out, 3) is None
         # 1 cannot grab 2 or 3: they are later extenders.
         assert out.legs[0] == (1, 4)
@@ -164,9 +169,9 @@ class TestGreedyExtend:
     def test_rejects_overlapping_f_seq(self):
         g = gen_complete_digraph(5)
         with pytest.raises(ValueError):
-            greedy_extend(g.two_paths_into(0), Spider(0, ((1, 2),)), [1])
+            greedy_extend(paths_into(g, 0), Spider(0, ((1, 2),)), [1])
         with pytest.raises(ValueError):
-            greedy_extend(g.two_paths_into(0), Spider(0), [3, 3])
+            greedy_extend(paths_into(g, 0), Spider(0), [3, 3])
 
     @given(out_regular_digraphs(max_ell=4, max_n=30))
     @settings(max_examples=60)
@@ -176,12 +181,12 @@ class TestGreedyExtend:
         g, ell = g_ell
         r = 0
         pool = strong_extender_pool(
-            g.two_paths_into(r), ell, partition_by_in_degree(g, ell)
+            paths_into(g, r), ell, partition_by_in_degree(g, ell)
         )
         f_seq = np.concatenate((pool.a_r, pool.c_r))[:ell]
         if len(f_seq) < ell:
             return
-        out = greedy_extend(g.two_paths_into(r), Spider(r), f_seq)
+        out = greedy_extend(paths_into(g, r), Spider(r), f_seq)
         assert verify_spider(g, out, ell) is None
 
     def test_tight_positional_requirements(self):
@@ -194,7 +199,7 @@ class TestGreedyExtend:
         )
         assert len(brute_extension_set(g, 1, 0)) == 2
         assert len(brute_extension_set(g, 2, 0)) == 3
-        out = greedy_extend(g.two_paths_into(0), Spider(0), [1, 2])
+        out = greedy_extend(paths_into(g, 0), Spider(0), [1, 2])
         assert out.legs == ((1, 3), (2, 4))
         assert verify_spider(g, out, 2) is None
 
@@ -220,7 +225,7 @@ class TestGreedyExtend:
         if len(eligible) < f:
             return
         f_seq = data.draw(st.permutations(eligible))[:f]
-        out = greedy_extend(g.two_paths_into(r), base, f_seq)
+        out = greedy_extend(paths_into(g, r), base, f_seq)
         assert verify_spider(g, out, s + f) is None
 
     @given(
@@ -257,7 +262,7 @@ class TestGreedyExtend:
         expected = brute_greedy_extend(g, r, base, f_seq)
         if expected is None:
             with pytest.raises(InternalInvariantError):
-                greedy_extend(g.two_paths_into(r), base, f_seq)
+                greedy_extend(paths_into(g, r), base, f_seq)
         else:
-            out = greedy_extend(g.two_paths_into(r), base, f_seq)
+            out = greedy_extend(paths_into(g, r), base, f_seq)
             assert list(out.legs) == expected

@@ -23,8 +23,13 @@ from reference import (
     brute_two_paths_to,
     brute_vb_count,
     from_pairs,
+    paths_into,
 )
 from strategies import out_regular_digraphs
+
+
+# The in-edges of a hand-built RootScores, which select_root never reads.
+NO_EDGES = (np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32))
 
 
 def manual_partition(n, a_vertices):
@@ -69,6 +74,11 @@ def assert_scored_prefix(g, a_mask, ell):
     assert scores.score.tolist() == [brute[x][0] for x in prefix]
     assert scores.a.tolist() == [brute[x][1] for x in prefix]
     assert scores.vb.tolist() == [brute[x][2] for x in prefix]
+    # Batch k starts at 2^k - 1; the last batch's in-edges are kept.
+    last = set(prefix[2 ** (end.bit_length() - 1) - 1 :])
+    tail, head = scores.in_edges
+    in_edges = list(zip(tail.tolist(), head.tolist()))
+    assert in_edges == [(u, v) for u, v in g.edges() if v in last]
     return scores, brute
 
 
@@ -257,7 +267,7 @@ class TestScoreRoots:
         assert hubs[0] * n > 2**31
 
         # One batch of every hub needs the correction for each of them.
-        a, vb = root_selection._score_batch(g, a_mask, hubs)
+        a, vb, _ = root_selection._score_batch(g, a_mask, hubs)
         assert set((2 * ell * a + vb).tolist()) == {9}
 
 
@@ -271,7 +281,11 @@ class TestSelectRoot:
 
     def test_single_entry(self):
         scores = RootScores(
-            xs=np.array([3]), a=np.array([6]), vb=np.array([0]), ell=2
+            xs=np.array([3]),
+            a=np.array([6]),
+            vb=np.array([0]),
+            ell=2,
+            in_edges=NO_EDGES,
         )
         assert select_root(scores) == RootScore(x=3, a_x=6, vb_x=0, score=24)
 
@@ -282,6 +296,7 @@ class TestSelectRoot:
             a=np.array([3, 2, 2]),
             vb=np.array([0, 3, 4]),
             ell=2,
+            in_edges=NO_EDGES,
         )
         assert scores.score.tolist() == [12, 11, 12]
         assert select_root(scores).x == 1
@@ -293,6 +308,7 @@ class TestSelectRoot:
             a=np.array([2, 3, 5]),
             vb=np.array([3, 0, 0]),
             ell=2,
+            in_edges=NO_EDGES,
         )
         assert scores.score.tolist() == [11, 12, 20]
         assert select_root(scores).x == 2
@@ -303,6 +319,7 @@ class TestSelectRoot:
             a=np.array([1, 2, 2]),
             vb=np.array([1, 3, 3]),
             ell=2,
+            in_edges=NO_EDGES,
         )
         assert scores.score.tolist() == [5, 11, 11]
         assert select_root(scores).x == 1
@@ -321,8 +338,8 @@ class TestQPaths:
     def test_k5_empty_vacuous(self):
         g = gen_complete_digraph(5)
         a_mask = partition_by_in_degree(g, 2)
-        pool = strong_extender_pool(g.two_paths_into(0), 2, a_mask)
-        q = compute_q_paths(g.two_paths_into(0), a_mask, pool)
+        pool = strong_extender_pool(paths_into(g, 0), 2, a_mask)
+        q = compute_q_paths(paths_into(g, 0), a_mask, pool)
         assert len(q) == 0
 
     def test_no_exclusions_keeps_all_vb_paths(self):
@@ -330,7 +347,7 @@ class TestQPaths:
         a_mask = manual_partition(4, {0})
         none = np.empty(0, dtype=np.int64)
         pool = ExtenderPool(a_r=none, c_r=none)
-        q = compute_q_paths(g.two_paths_into(0), a_mask, pool)
+        q = compute_q_paths(paths_into(g, 0), a_mask, pool)
         assert set(zip(q.first.tolist(), q.middle.tolist())) == {(1, 2), (3, 2)}
 
     @given(out_regular_digraphs(max_ell=3, max_n=20))
@@ -339,8 +356,8 @@ class TestQPaths:
         g, ell = g_ell
         a_mask = partition_by_in_degree(g, ell)
         r = int(select_root(score_roots(g, a_mask, ell)).x)
-        pool = strong_extender_pool(g.two_paths_into(r), ell, a_mask)
-        q = compute_q_paths(g.two_paths_into(r), a_mask, pool)
+        pool = strong_extender_pool(paths_into(g, r), ell, a_mask)
+        q = compute_q_paths(paths_into(g, r), a_mask, pool)
         excluded = set(pool.a_r.tolist()) | set(pool.c_r.tolist())
         edges = set(g.edges())
         for first, middle in zip(q.first.tolist(), q.middle.tolist()):
@@ -361,7 +378,7 @@ class TestQPaths:
         g, ell = g_ell
         a_mask = partition_by_in_degree(g, ell)
         r = int(select_root(score_roots(g, a_mask, ell)).x)
-        pool = strong_extender_pool(g.two_paths_into(r), ell, a_mask)
+        pool = strong_extender_pool(paths_into(g, r), ell, a_mask)
         vb_paths = [
             (v, b) for v, b in brute_two_paths_to(g, r) if not a_mask[b]
         ]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import spiderfind.digraph as digraph
 import spiderfind.edge_coloring as edge_coloring
 import spiderfind.solver as solver
 from spiderfind import (
@@ -390,14 +391,50 @@ class TestOneRootView:
         roots = []
         two_paths_into = Digraph.two_paths_into
 
-        def counted(g, r):
+        def counted(g, r, in_nbrs):
             roots.append(r)
-            return two_paths_into(g, r)
+            return two_paths_into(g, r, in_nbrs)
 
         monkeypatch.setattr(Digraph, "two_paths_into", counted)
         out = find_spider(make_graph(), ell)
         assert max(ell - out.trace.s, 0) == added
         assert roots == [out.spider.root]
+
+    @pytest.mark.parametrize(
+        "make_graph, ell",
+        [
+            (lambda: gen_random_out_regular(2000, 10, seed=0), 5),
+            (lambda: gen_random_out_regular(2000, 10, seed=1), 5),
+            (three_batch_instance, 1),
+        ],
+        ids=["random0", "random1", "three_batches"],
+    )
+    def test_one_edge_scan_per_batch_plus_one(
+        self, monkeypatch, batch_sizes, make_graph, ell
+    ):
+        """A solve reads tails from the CSR, never the per-edge source
+        array, and gathers over all m edges once per scoring batch and once
+        for the root's 2-paths.
+        """
+        g = make_graph()
+        assert (g.out_degrees == 2 * ell).all()
+
+        def no_edge_src(self):
+            raise AssertionError("a solve read Digraph.edge_src")
+
+        scans = []
+        gather = digraph._gather
+
+        def counted(table, idx):
+            scans.append(idx.shape[0])
+            return gather(table, idx)
+
+        monkeypatch.setattr(Digraph, "edge_src", property(no_edge_src))
+        monkeypatch.setattr(digraph, "_gather", counted)
+        out = find_spider(g, ell)
+        assert verify_spider(g, out.spider, ell) is None
+        assert batch_sizes
+        assert scans.count(g.m) == len(batch_sizes) + 1
 
 
 class TestExplainTrace:
