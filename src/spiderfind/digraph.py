@@ -2,13 +2,14 @@
 
 A Digraph is an immutable simple directed graph (antiparallel pairs allowed,
 no loops, no duplicate edges) over dense 0-based vertex ids.  Out-adjacency
-is the only stored adjacency, CSR-style in two numpy arrays.  In-degrees and
-the per-edge source array are derived lazily and cached.  The one
-in-adjacency primitive, `edges_into(mask)`, finds the edges into a vertex
-set with one `_gather(mask, edge_dst)` and reads their tails from the CSR
-row bounds; `edges_out_of(xs)` reads the rows of `xs`.  Neither builds the
-per-edge source array.  `two_paths_into(r, in_nbrs)` is one `edges_into`
-call.
+is the only stored adjacency, CSR-style in two numpy arrays.  In-degrees
+are derived lazily and cached, and so is the per-edge source array
+`edge_src`, which `edges()` reads.  The one in-adjacency primitive,
+`edges_into(mask)`, finds the edges into a vertex set with one
+`_gather(mask, edge_dst)` and reads their tails from the CSR row bounds;
+`edges_out_of(xs)` reads the rows of `xs`, and `write_edge_list` repeats
+one token per vertex along them.  None of the three builds the per-edge
+source array.  `two_paths_into(r, in_nbrs)` is one `edges_into` call.
 """
 from __future__ import annotations
 
@@ -350,27 +351,33 @@ def _parse_lines(text: str) -> Digraph:
 
 
 def write_edge_list(g: Digraph) -> str:
-    """Serialize per out-adjacency order; parse_edge_list round-trips exactly."""
-    header = f"{g.n} {g.m}\n"
-    ids = np.empty(2 * g.m, dtype=np.int32)
-    ids[0::2] = g.edge_src
-    ids[1::2] = g.edge_dst
-    # One row per id: its digits zero-padded to the width of n - 1, then
-    # ' ' after a source or '\n' after a destination.  The leading zeros
-    # are then cut, keeping at least the last digit.
+    """Serialize per out-adjacency order; parse_edge_list round-trips exactly.
+
+    Every edge line is two items of one per-vertex token table.  Item v is
+    the digits of v and '\\n' in w + 1 bytes, w the width of n - 1, with
+    NUL bytes where the leading zeros would be.  Sources repeat the table
+    along the CSR rows and destinations gather it, so no per-edge source
+    array is built.  The source's '\\n' becomes ' ', and one byte delete
+    drops the NULs.
+    """
     w = len(str(g.n - 1))
-    cells = np.empty((ids.size, w + 1), dtype=np.uint8)
-    cells[0::2, w] = ord(" ")
-    cells[1::2, w] = ord("\n")
-    rest = ids
-    for j in range(w - 1, -1, -1):
-        quot = rest // 10
-        cells[:, j] = rest - 10 * quot + ord("0")
-        rest = quot
-    keep = np.ones(cells.shape, dtype=bool)
-    for j in range(w - 1):
-        np.greater_equal(ids, 10 ** (w - 1 - j), out=keep[:, j])
-    return header + cells[keep].tobytes().decode("ascii")
+    digits = np.empty((g.n, w + 1), dtype=np.uint8)
+    digits[:, w] = ord("\n")
+    rest = np.arange(g.n, dtype=np.int32)
+    for k in range(w):
+        col = digits[:, w - 1 - k]
+        np.remainder(rest, 10, out=col, casting="unsafe")
+        col += ord("0")
+        rest //= 10
+        # Digit k from the right: the ids below 10^k, k > 0, have none.
+        col[: 10**k if k else 0] = 0
+    table = digits.view(f"V{w + 1}").ravel()
+    cells = np.empty((g.m, 2), dtype=table.dtype)
+    cells[:, 0] = np.repeat(table, g.out_degrees)
+    cells[:, 1] = _gather(table, g.edge_dst)
+    cells.view(np.uint8)[:, w] = ord(" ")
+    header = f"{g.n} {g.m}\n".encode("ascii")
+    return (header + cells.tobytes().translate(None, b"\0")).decode("ascii")
 
 
 # ---- generators --------------------------------------------------------------

@@ -36,6 +36,17 @@ from strategies import digraphs
 _DIGIT_BOUNDARY_NS = [1, 9, 10, 11, 100, 101, 1000, 1001, 100_000, 100_001]
 
 
+# Graphs with out-degree-0 vertices at the first, a middle and the last id,
+# a run of them, and no edges at all.
+_EMPTY_ROW_GRAPHS = {
+    "first": (5, [(1, 2), (1, 0), (2, 1), (3, 4), (4, 1), (4, 0)]),
+    "middle": (5, [(0, 1), (0, 4), (1, 0), (1, 2), (3, 4), (4, 2)]),
+    "last": (5, [(0, 1), (1, 4), (2, 0), (3, 0), (3, 4), (3, 2)]),
+    "run": (6, [(0, 5), (0, 3), (5, 0), (5, 2)]),
+    "no_edges": (4, []),
+}
+
+
 @st.composite
 def text_graphs(draw, max_n: int = 100_001):
     """Graphs with no edges, a few edges anywhere, or d out-edges each."""
@@ -235,6 +246,27 @@ class TestWrite:
     @given(text_graphs())
     def test_matches_reference_writer(self, g):
         assert write_edge_list(g) == reference_write_edge_list(g)
+
+    @pytest.mark.parametrize("n", [0, 1_000_000, 1_000_001])
+    def test_wide_ids(self, n):
+        # Ids of 1, 2, 5 and 6 digits, and n - 1 (7 digits at n = 1000001),
+        # each both a source and a destination; n = 0 writes "0 0\n".
+        ids = sorted({v for v in (0, 9, 10, 99_999, 999_999, n - 1) if 0 <= v < n})
+        pairs = list(zip(ids, ids[1:])) + list(zip(ids[1:], ids))
+        g = from_pairs(n, pairs)
+        assert write_edge_list(g) == reference_write_edge_list(g)
+
+    @pytest.mark.parametrize("name", list(_EMPTY_ROW_GRAPHS))
+    def test_reads_sources_from_the_csr_rows(self, name, monkeypatch):
+        n, pairs = _EMPTY_ROW_GRAPHS[name]
+        g = from_pairs(n, pairs)
+        expected = reference_write_edge_list(g)
+        monkeypatch.setattr(
+            Digraph, "edge_src", property(lambda _: pytest.fail("built edge_src"))
+        )
+        text = write_edge_list(g)
+        assert text == expected
+        assert parse_edge_list(text) == g
 
 
 class TestCanonicalParse:
@@ -462,17 +494,6 @@ def assert_edges_into(g: Digraph, mask: np.ndarray) -> None:
     e = np.flatnonzero(mask[g.edge_dst])
     assert np.array_equal(tail, g.edge_src[e])
     assert np.array_equal(head, g.edge_dst[e])
-
-
-# Graphs with out-degree-0 vertices at the first, a middle and the last id,
-# a run of them, and no edges at all.
-_EMPTY_ROW_GRAPHS = {
-    "first": (5, [(1, 2), (1, 0), (2, 1), (3, 4), (4, 1), (4, 0)]),
-    "middle": (5, [(0, 1), (0, 4), (1, 0), (1, 2), (3, 4), (4, 2)]),
-    "last": (5, [(0, 1), (1, 4), (2, 0), (3, 0), (3, 4), (3, 2)]),
-    "run": (6, [(0, 5), (0, 3), (5, 0), (5, 2)]),
-    "no_edges": (4, []),
-}
 
 
 class TestEdgesInto:
