@@ -53,9 +53,11 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write an edge-list graph")
-    gsub = gen.add_subparsers(dest="kind", required=True)
+    gsub = gen.add_subparsers(dest="family", required=True)
     g_complete = gsub.add_parser("complete")
     g_complete.add_argument("--n", type=int, required=True)
+    # The family builders take a seed; the complete digraph ignores it.
+    g_complete.set_defaults(seed=0)
     g_random = gsub.add_parser("random-out-regular")
     g_random.add_argument("--n", type=int, required=True)
     g_random.add_argument("--d", type=int, required=True)
@@ -117,14 +119,18 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
+def _make_family(args):
+    if args.family == "complete":
+        return lambda seed: gen_complete_digraph(args.n)
+    if args.family == "random-out-regular":
+        if args.d is None:
+            raise _UsageError("random-out-regular family requires --d")
+        return lambda seed: gen_random_out_regular(args.n, args.d, seed)
+    return lambda seed: gen_regular_tournament(args.n, seed)
+
+
 def _cmd_generate(args) -> int:
-    if args.kind == "complete":
-        g = gen_complete_digraph(args.n)
-    elif args.kind == "random-out-regular":
-        g = gen_random_out_regular(args.n, args.d, args.seed)
-    else:
-        g = gen_regular_tournament(args.n, args.seed)
-    _write_text(args.output, write_edge_list(g))
+    _write_text(args.output, write_edge_list(_make_family(args)(args.seed)))
     return EXIT_OK
 
 
@@ -161,16 +167,6 @@ def _cmd_oracle(args) -> int:
     for r in sorted(res.best_per_root):
         sys.stdout.write(f"best {r} {res.best_per_root[r]}\n")
     return EXIT_OK if res.exists else EXIT_ORACLE_NO_SPIDER
-
-
-def _make_family(args):
-    if args.family == "complete":
-        return lambda seed: gen_complete_digraph(args.n)
-    if args.family == "random-out-regular":
-        if args.d is None:
-            raise _UsageError("random-out-regular family requires --d")
-        return lambda seed: gen_random_out_regular(args.n, args.d, seed)
-    return lambda seed: gen_regular_tournament(args.n, seed)
 
 
 def _cmd_search(args) -> int:

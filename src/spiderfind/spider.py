@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .digraph import Digraph, _int_token
+from .digraph import Digraph, _content_lines, _int_token
 from .errors import SpiderFormatError
 
 __all__ = [
@@ -108,11 +108,7 @@ def parse_spider(text: str) -> Spider:
     """Parse the spider text format: 'root r' then one 'leaf middle' per leg."""
     root = None
     legs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts in _content_lines(text):
         if root is None:
             if len(parts) != 2 or parts[0] != "root":
                 raise SpiderFormatError(lineno, "expected 'root <id>'")

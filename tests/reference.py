@@ -12,6 +12,11 @@ from spiderfind import Digraph
 from spiderfind.edge_coloring import ExtensionGraph
 
 
+# Characters str.splitlines() ends lines at; in the text formats a line ends
+# only at '\n', '\r\n' or '\r'.
+NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 def from_pairs(n: int, pairs) -> Digraph:
     """The digraph on [0, n) with these (u, v) edges, per-source order kept."""
     src, dst = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T

@@ -13,6 +13,7 @@ from spiderfind import (
     format_spider,
     gen_complete_digraph,
     gen_random_out_regular,
+    gen_regular_tournament,
     parse_edge_list,
     parse_spider,
     verify_spider,
@@ -49,6 +50,18 @@ class TestGenerate:
         assert code == 0 and out1 == out2
         g = parse_edge_list(out1)
         assert all(d == 4 for d in g.out_degrees)
+
+    def test_complete_takes_no_seed(self, capsys, monkeypatch):
+        argv = ["generate", "complete", "--n", "5", "--seed", "1"]
+        code, out, err = run(capsys, monkeypatch, argv)
+        assert code == 64 and out == ""
+        assert "--seed" in err
+
+    def test_tournament_uses_its_seed(self, capsys, monkeypatch):
+        argv = ["generate", "tournament", "--n", "7", "--seed", "3"]
+        code, out, _ = run(capsys, monkeypatch, argv)
+        assert code == 0
+        assert parse_edge_list(out) == gen_regular_tournament(7, 3)
 
     def test_tournament_even_order_is_usage_error(self, capsys, monkeypatch):
         code, _, err = run(capsys, monkeypatch, ["generate", "tournament", "--n", "4"])

@@ -17,6 +17,7 @@ from spiderfind import (
     write_edge_list,
 )
 from reference import (
+    NOT_LINE_ENDS,
     brute_in_neighbors,
     brute_two_paths_to,
     from_pairs,
@@ -230,6 +231,22 @@ class TestParse:
             parse_edge_list("# a comment\n2 2\n0 1\n0 1\n")
         assert exc.value.line == 4
 
+    @pytest.mark.parametrize("ch", NOT_LINE_ENDS)
+    def test_comment_runs_to_the_line_end(self, ch):
+        g = parse_edge_list(f"# c{ch}more\n2 2\n0 1\n1 0\n")
+        assert g == parse_edge_list("2 2\n0 1\n1 0\n")
+        with pytest.raises(EdgeListError, match="duplicate") as exc:
+            parse_edge_list(f"# c{ch}more\n2 2\n0 1\n0 1\n")
+        assert exc.value.line == 4
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_lone_cr_end_lines(self, newline):
+        g = parse_edge_list(newline.join(["# c", "2 2", "0 1", "1 0", ""]))
+        assert g == parse_edge_list("2 2\n0 1\n1 0\n")
+        with pytest.raises(EdgeListError, match="duplicate") as exc:
+            parse_edge_list(newline.join(["# c", "2 2", "0 1", "0 1", ""]))
+        assert exc.value.line == 4
+
     def test_empty_graph(self):
         g = parse_edge_list("1 0\n")
         assert g.n == 1 and g.m == 0
@@ -391,6 +408,16 @@ class TestRegularTournament:
         assert gen_regular_tournament(11, seed=0) != gen_regular_tournament(
             11, seed=1
         )
+
+
+def test_no_per_edge_array_is_kept():
+    # The CSR indices are the one per-edge array a graph keeps; edge_src is
+    # derived on each call, also after edges() and in_degrees have run.
+    g = gen_random_out_regular(50, 4, seed=0)
+    list(g.edges())
+    g.in_degrees
+    kept = [name for name in Digraph.__slots__ if np.size(getattr(g, name)) == g.m]
+    assert kept == ["_indices"]
 
 
 class TestFromEdgeArrays:
@@ -570,15 +597,11 @@ class TestGather:
 class TestBincount:
     @pytest.mark.parametrize("size", [0, 1, _C - 1, _C, _C + 1, 3 * _C + 7])
     @pytest.mark.parametrize("n", [1000, _C + 5])
-    @pytest.mark.parametrize("weighted", [False, True])
+    # Every case is unweighted: _bincount only counts.
+    @pytest.mark.parametrize("weighted", [False])
     def test_matches_bincount(self, size, n, weighted):
         rng = np.random.default_rng(size)
         idx = rng.integers(0, n, size=size, dtype=np.int32)
-        # Integer-valued weights, as score_roots passes, sum exactly in
-        # any order.
-        weights = rng.integers(0, 2**20, size=size).astype(np.float64)
-        if not weighted:
-            weights = None
-        out = _bincount(idx, n, weights)
-        assert out.dtype == (np.float64 if weighted else np.int64)
-        assert np.array_equal(out, np.bincount(idx, weights, minlength=n))
+        out = _bincount(idx, n)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, np.bincount(idx, minlength=n))

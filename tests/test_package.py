@@ -34,7 +34,8 @@ def test_stage_names_live_in_their_modules(module, name):
     assert not hasattr(spiderfind, name)
 
 
-_PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+_ROOT = Path(__file__).resolve().parents[1]
+_PYPROJECT = _ROOT / "pyproject.toml"
 
 
 def test_failing_property_test_reports_its_example(tmp_path):
@@ -56,3 +57,14 @@ def test_failing_property_test_reports_its_example(tmp_path):
     assert run.returncode == 1, out
     assert "Falsifying example" in out
     assert "INTERNALERROR" not in out
+
+
+def test_perfbench_selftest_passes():
+    """The benchmark reads stage names and result fields of the solver; its
+    self-test fails when a refactor breaks one of them."""
+    run = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=_ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "perfbench selftest: ok" in run.stdout

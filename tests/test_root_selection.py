@@ -32,6 +32,18 @@ from strategies import out_regular_digraphs
 NO_EDGES = (np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32))
 
 
+def hand_built(xs, a, vb, ell):
+    """RootScores with the given columns, scored and targeted for l = ell."""
+    a, vb, d = np.array(a), np.array(vb), 2 * ell
+    return RootScores(np.array(xs), a, vb, d * a + vb, d * d - d, NO_EDGES)
+
+
+def rows(scores):
+    """The scored prefix as (x, a_x, vb_x, score) tuples."""
+    columns = (scores.xs, scores.a, scores.vb, scores.score)
+    return list(zip(*(col.tolist() for col in columns)))
+
+
 def manual_partition(n, a_vertices):
     mask = np.zeros(n, dtype=bool)
     mask[list(a_vertices)] = True
@@ -135,7 +147,8 @@ class TestScoreRoots:
         g = gen_complete_digraph(5)
         a_mask = partition_by_in_degree(g, 2)
         scores = score_roots(g, a_mask, 2)
-        assert list(scores) == [RootScore(x=0, a_x=4, vb_x=0, score=16)]
+        assert rows(scores) == [(0, 4, 0, 16)]
+        assert scores.target == 12
 
     def test_three_b_feeders(self):
         # Root 0 has three in-neighbors in B, each with 5 other in-neighbors.
@@ -144,13 +157,13 @@ class TestScoreRoots:
         g = from_pairs(9, edges)
         a_mask = manual_partition(9, {0})
         scores = score_roots(g, a_mask, 3)
-        assert scores[0] == RootScore(x=0, a_x=0, vb_x=15, score=15)
+        assert rows(scores) == [(0, 0, 15, 15)]
 
     def test_score_zero(self):
         g = from_pairs(3, [(1, 0), (2, 0)])
         a_mask = manual_partition(3, {0})
         scores = score_roots(g, a_mask, 1)
-        assert scores[0] == RootScore(x=0, a_x=0, vb_x=0, score=0)
+        assert rows(scores) == [(0, 0, 0, 0)]
 
     def test_antiparallel_middle_correction(self):
         # v -> b -> x plus both b -> x and x -> b present: x itself must not
@@ -158,7 +171,7 @@ class TestScoreRoots:
         g = from_pairs(3, [(1, 2), (0, 2), (2, 0)])
         a_mask = manual_partition(3, {0})
         scores = score_roots(g, a_mask, 1)
-        assert scores[0].vb_x == 1
+        assert scores.vb.tolist() == [1]
 
     @given(out_regular_digraphs(max_ell=3, max_n=20))
     @settings(max_examples=40)
@@ -168,9 +181,9 @@ class TestScoreRoots:
         scores, brute = assert_scored_prefix(g, a_mask, ell)
         a_set = vertex_set(a_mask)
         b_set = vertex_set(~a_mask)
-        for entry in scores:
-            assert entry.a_x == brute_a_count(g, entry.x, a_set)
-            assert entry.vb_x == brute_vb_count(g, entry.x, b_set)
+        for x, a_x, vb_x, _ in rows(scores):
+            assert a_x == brute_a_count(g, x, a_set)
+            assert vb_x == brute_vb_count(g, x, b_set)
         # The root is the first scored vertex that reaches d^2 - d.
         d = 2 * ell
         first = next(x for x in scores.xs.tolist() if brute[x][0] >= d * d - d)
@@ -203,12 +216,12 @@ class TestScoreRoots:
         g = gen_random_out_regular(5000, 20, seed)
         a_mask = partition_by_in_degree(g, 10)
         scores = score_roots(g, a_mask, 10)
-        assert 0 < len(scores) < a_mask.sum()
+        assert 0 < scores.xs.shape[0] < a_mask.sum()
 
     def test_batches_double_until_a_member_reaches(self, batch_sizes):
         # Vertex i of A = {0..9} has in-degree i // 3 + 1, fed by sources of
         # in-degree 0, so every member scores 0 < d^2 - d = 2: all ten are
-        # scored, the highest in-degree first, and the maximum is kept.
+        # scored, the highest in-degree first, and the first is returned.
         # An edge 8 -> 9 from A lifts the first candidate, 9, to 2, and
         # then one batch suffices.
         edges = [(10 + k, i) for i in range(10) for k in range(i // 3 + 1)]
@@ -228,7 +241,7 @@ class TestScoreRoots:
     def test_empty_a_class(self):
         g = gen_complete_digraph(5)
         scores = score_roots(g, np.zeros(5, dtype=bool), 2)
-        assert len(scores) == 0
+        assert rows(scores) == []
 
     def test_exact_at_large_n_with_planted_antiparallel_pairs(self):
         # At n = 50,000 the pair keys x*n + b exceed the int32 range.  The
@@ -280,49 +293,27 @@ class TestSelectRoot:
         assert winner.score == 16
 
     def test_single_entry(self):
-        scores = RootScores(
-            xs=np.array([3]),
-            a=np.array([6]),
-            vb=np.array([0]),
-            ell=2,
-            in_edges=NO_EDGES,
-        )
+        scores = hand_built([3], [6], [0], ell=2)
         assert select_root(scores) == RootScore(x=3, a_x=6, vb_x=0, score=24)
 
     def test_tiebreak_smallest_id(self):
         # x=1 and x=3 both score 12 and beat x=2.
-        scores = RootScores(
-            xs=np.array([1, 2, 3]),
-            a=np.array([3, 2, 2]),
-            vb=np.array([0, 3, 4]),
-            ell=2,
-            in_edges=NO_EDGES,
-        )
+        scores = hand_built([1, 2, 3], [3, 2, 2], [0, 3, 4], ell=2)
         assert scores.score.tolist() == [12, 11, 12]
         assert select_root(scores).x == 1
 
     def test_first_entry_reaching_the_bound_wins(self):
         # With l = 2 the bound is 12: x=2 reaches it first, x=3 scores more.
-        scores = RootScores(
-            xs=np.array([1, 2, 3]),
-            a=np.array([2, 3, 5]),
-            vb=np.array([3, 0, 0]),
-            ell=2,
-            in_edges=NO_EDGES,
-        )
+        scores = hand_built([1, 2, 3], [2, 3, 5], [3, 0, 0], ell=2)
         assert scores.score.tolist() == [11, 12, 20]
         assert select_root(scores).x == 2
 
-    def test_maximum_when_no_entry_reaches_the_bound(self):
-        scores = RootScores(
-            xs=np.array([4, 1, 3]),
-            a=np.array([1, 2, 2]),
-            vb=np.array([1, 3, 3]),
-            ell=2,
-            in_edges=NO_EDGES,
-        )
+    def test_first_entry_when_none_reaches_the_bound(self):
+        # Only input that is not 2l-out-regular gets here; find_spider's
+        # score check then rejects the entry.
+        scores = hand_built([4, 1, 3], [1, 2, 2], [1, 3, 3], ell=2)
         assert scores.score.tolist() == [5, 11, 11]
-        assert select_root(scores).x == 1
+        assert select_root(scores) == RootScore(x=4, a_x=1, vb_x=1, score=5)
 
     @given(out_regular_digraphs(max_ell=4, max_n=40))
     @settings(max_examples=60)

@@ -12,6 +12,7 @@ from spiderfind import (
     parse_spider,
     verify_spider,
 )
+from reference import NOT_LINE_ENDS
 from strategies import digraphs
 
 TRIANGLE = parse_edge_list("3 3\n0 1\n1 2\n2 0\n")
@@ -131,6 +132,13 @@ class TestText:
 
     def test_format(self):
         assert format_spider(Spider(2, ((0, 1),))) == "root 2\n0 1\n"
+
+    @pytest.mark.parametrize("ch", NOT_LINE_ENDS)
+    def test_comment_runs_to_the_line_end(self, ch):
+        assert parse_spider(f"# c{ch}more\nroot 2\n0 1\n") == Spider(2, ((0, 1),))
+        with pytest.raises(SpiderFormatError, match="leaf middle") as exc:
+            parse_spider(f"# c{ch}more\nroot 2\n1 2 3\n")
+        assert exc.value.line == 3
 
     def test_parse_errors(self):
         with pytest.raises(SpiderFormatError):
