@@ -11,9 +11,11 @@ free at both endpoints and otherwise by the one-step insertion of Misra and
 Gries ("A constructive proof of Vizing's theorem", IPL 1992): grow a fan at
 one endpoint, flip one two-color alternating path from it, and rotate a
 prefix of the fan.  By pigeonhole, a largest color class of the colored
-graph H_t holds at least |E(H_t)| / (Delta+1) of its edges.  The solver
-records and enforces those bounds; vizing_color checks that its coloring
-is proper on every call.
+graph H_t holds at least |E(H_t)| / (Delta+1) of its edges.  The strong
+extenders supply legs first, so H_t only has to cover the shortfall
+t = max(0, l - a - c): `truncate_for_coloring` caps it at (2l-1)(t-1)+1
+edges, and at 0 edges when t = 0.  The solver records and enforces those
+bounds; vizing_color checks that its coloring is proper on every call.
 
 Every nondeterministic choice in the proof (which free color, which fan
 vertex) is pinned to the lowest index, so colorings are reproducible.
@@ -79,14 +81,16 @@ def build_extension_graph(q: QPaths) -> ExtensionGraph:
     )
 
 
-def truncate_for_coloring(h: ExtensionGraph, ell: int) -> ExtensionGraph:
-    """Cap the coloring instance at (2l-1)(l-1)+1 edges.
+def truncate_for_coloring(h: ExtensionGraph, ell: int, t: int) -> ExtensionGraph:
+    """Cap the coloring instance at (2l-1)(t-1)+1 edges, or at 0 when t = 0.
 
-    Above the cap, pigeonhole already guarantees a color class of size >= l,
-    so dropping the tail edges never loses the spider; the coloring cost
-    becomes O(l^2) regardless of input size.
+    t is the shortfall, the number of legs the strong extenders cannot
+    supply.  Above the cap, pigeonhole already guarantees a color class of
+    size >= t, so dropping the tail edges never loses the spider; the
+    coloring cost becomes O(l t) regardless of input size, and nothing is
+    colored when the extenders cover every leg.
     """
-    cap = (2 * ell - 1) * (ell - 1) + 1
+    cap = (2 * ell - 1) * (t - 1) + 1 if t else 0
     if h.num_edges <= cap:
         return h
     return ExtensionGraph(leaf=h.leaf[:cap], mid=h.mid[:cap], truncated=True)

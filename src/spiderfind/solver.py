@@ -2,9 +2,12 @@
 
 Pipeline: regularize to exact out-degree d = 2l, partition by in-degree,
 pick the first root, by in-degree, whose score d*|A_r| + |VB_r| reaches
-d^2 - d, classify strong extenders, enumerate surviving 2-paths, edge-color
-the extension graph and lift the largest color class to a base spider, then
-greedily extend with strong extenders until l legs.  Every inequality the
+d^2 - d, classify strong extenders, enumerate surviving 2-paths and build
+the extension graph.  The a + c strong extenders go first: each can take a
+leg, so the coloring only has to supply the shortfall t = max(0, l - a - c).
+The extension graph is capped at (2l-1)(t-1)+1 edges (0 when t = 0) and
+edge-colored, its largest color class is lifted to a base spider, and
+strong extenders greedily extend it to l legs.  Every inequality the
 construction relies on is recorded in the trace here, and only here, and
 enforced in one loop on every run; each is a theorem, so a violation can
 only mean a bug, never bad input.  The spider is always re-verified against
@@ -56,6 +59,7 @@ class SolveTrace:
     a: int
     c: int
     s: int
+    shortfall: int
     q_size: int
     vb_r: int
     checks: tuple[ProofCheck, ...]
@@ -104,12 +108,13 @@ def find_spider(g: Digraph, ell: int, mode: str = "checked") -> SolveOutcome:
     pool = strong_extender_pool(paths, ell, a_mask)
     a = len(pool.a_r)
     c = len(pool.c_r)
+    shortfall = max(0, ell - a - c)
 
     q = compute_q_paths(paths, a_mask, pool)
     q_size = len(q)
 
     h = build_extension_graph(q)
-    ht = truncate_for_coloring(h, ell)
+    ht = truncate_for_coloring(h, ell, shortfall)
     coloring = vizing_color(ht)
     cls = largest_color_class(coloring)
     s = int(cls.shape[0])
@@ -152,6 +157,7 @@ def find_spider(g: Digraph, ell: int, mode: str = "checked") -> SolveOutcome:
         a=a,
         c=c,
         s=s,
+        shortfall=shortfall,
         q_size=q_size,
         vb_r=root_score.vb_x,
         checks=checks,
@@ -168,7 +174,11 @@ def explain_trace(t: SolveTrace) -> str:
         f"|Q_r| = {t.q_size}  |VB_r| = {t.vb_r}  |A_r| = {t.a}",
     ]
     if t.truncated:
-        lines.append("coloring instance was truncated to the (2l-1)(l-1)+1 cap")
+        cap = "(2l-1)(t-1)+1" if t.shortfall else "0"
+        lines.append(
+            f"shortfall t = max(0, l - a - c) = {t.shortfall}: "
+            f"coloring instance truncated to the {cap} edge cap"
+        )
     for chk in t.checks:
         op = ">=" if ">=" in chk.name else "<="
         status = "PASS" if chk.passed else "FAIL"

@@ -21,7 +21,11 @@ from spiderfind import (
 )
 from spiderfind.cli import main
 from strategies import digraphs
-from test_solver import _empty_class, antiparallel_triangle_instance
+from test_solver import (
+    _empty_class,
+    antiparallel_triangle_instance,
+    few_extenders_instance,
+)
 
 
 def _stdin(data):
@@ -180,11 +184,11 @@ class TestSolve:
 
     def test_failed_inequality_exits_70(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            solver, "largest_color_class", _empty_class(solver.largest_color_class, 2)
+            solver, "largest_color_class", _empty_class(solver.largest_color_class, 3)
         )
         code, out, err = run(
-            capsys, monkeypatch, ["solve", "--ell", "2"],
-            stdin=write_edge_list(gen_random_out_regular(18, 4, seed=1)),
+            capsys, monkeypatch, ["solve", "--ell", "3"],
+            stdin=write_edge_list(few_extenders_instance()),
         )
         assert code == 70
         assert out == ""

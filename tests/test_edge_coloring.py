@@ -69,24 +69,46 @@ class TestBuild:
 class TestTruncate:
     def test_below_threshold_unchanged(self):
         h = make_h([(0, 1), (2, 3), (4, 5)])
-        assert truncate_for_coloring(h, 2) is h
+        assert truncate_for_coloring(h, 2, 2) is h
 
     def test_cap_applied(self):
         h = make_h([(0, i + 1) for i in range(10)])
-        ht = truncate_for_coloring(h, 2)
+        ht = truncate_for_coloring(h, 2, 2)
         assert ht.num_edges == 4
         assert ht.truncated is True
         assert edge_list(ht) == [(0, 1), (0, 2), (0, 3), (0, 4)]
 
     def test_ell_one_threshold(self):
         h = make_h([(0, 1), (2, 3)])
-        ht = truncate_for_coloring(h, 1)
+        ht = truncate_for_coloring(h, 1, 1)
         assert ht.num_edges == 1
 
+    def test_no_shortfall_colors_nothing(self):
+        h = make_h([(0, 1), (2, 3)])
+        ht = truncate_for_coloring(h, 3, 0)
+        assert ht.num_edges == 0
+        assert ht.truncated is True
+        empty = make_h([])
+        assert truncate_for_coloring(empty, 3, 0) is empty
+        assert empty.truncated is False
+
+    def test_partial_shortfall_caps(self):
+        h = make_h([(0, i + 1) for i in range(20)])
+        # l = 4: (2l-1)(t-1)+1 is 1, 8 and 15 edges for t = 1, 2, 3.
+        for t, cap in [(1, 1), (2, 8), (3, 15)]:
+            ht = truncate_for_coloring(h, 4, t)
+            assert ht.num_edges == cap
+            assert ht.truncated is True
+            assert edge_list(ht) == edge_list(h)[:cap]
+        assert truncate_for_coloring(h, 4, 4) is h
+
     def test_cap_guarantees_class_of_size_ell(self):
+        h = make_h([(0, i + 1) for i in range(120)])
         for ell in range(1, 9):
-            cap = (2 * ell - 1) * (ell - 1) + 1
-            assert -(-cap // (2 * ell - 1)) == ell
+            for t in range(1, ell + 1):
+                cap = truncate_for_coloring(h, ell, t).num_edges
+                assert cap == (2 * ell - 1) * (t - 1) + 1
+                assert -(-cap // (2 * ell - 1)) == t
 
 
 class TestVizing:
@@ -224,7 +246,7 @@ class TestPayloadSoundness:
         pool = strong_extender_pool(paths_into(g, r), ell, a_mask)
         q = compute_q_paths(paths_into(g, r), a_mask, pool)
         h = build_extension_graph(q)
-        ht = truncate_for_coloring(h, ell)
+        ht = truncate_for_coloring(h, ell, ell)
         col = vizing_color(ht)
         cls = largest_color_class(col)
         legs = tuple((int(ht.leaf[i]), int(ht.mid[i])) for i in cls)

@@ -21,9 +21,15 @@ from spiderfind import (
     parse_edge_list,
     verify_spider,
 )
-from spiderfind.extenders import ExtenderPool
-from spiderfind.root_selection import QPaths
-from reference import from_pairs
+from spiderfind.edge_coloring import (
+    build_extension_graph,
+    largest_color_class,
+    truncate_for_coloring,
+    vizing_color,
+)
+from spiderfind.extenders import ExtenderPool, strong_extender_pool
+from spiderfind.root_selection import QPaths, compute_q_paths, partition_by_in_degree
+from reference import from_pairs, paths_into
 from strategies import min_out_degree_digraphs, out_regular_digraphs
 
 TRIANGLE = parse_edge_list("3 3\n0 1\n1 2\n2 0\n")
@@ -87,25 +93,25 @@ class TestFindSpider:
     def test_trace_values_are_plain_ints(self):
         out = find_spider(gen_random_out_regular(60, 6, seed=1), 3)
         t = out.trace
-        for value in (t.d, t.root, t.a, t.c, t.s, t.q_size, t.vb_r):
+        for value in (t.d, t.root, t.a, t.c, t.s, t.shortfall, t.q_size, t.vb_r):
             assert type(value) is int
         for chk in t.checks:
             assert type(chk.lhs) is int and type(chk.rhs) is int
 
     def test_truncated_run_records_coverage_check(self):
-        g = gen_random_out_regular(200, 10, seed=3)
-        out = find_spider(g, 5)
+        g = few_extenders_instance()
+        out = find_spider(g, 3)
         assert out.trace.truncated
         coverage = [c for c in out.trace.checks if c.name == "s(2l-1) >= |E(H_t)|"]
-        # H_t holds exactly the cap (2l-1)(l-1)+1 = 37 edges.
+        # a + c = 2, so t = 1 and H_t holds exactly the cap (2l-1)(t-1)+1 = 1.
         assert [(c.lhs, c.rhs, c.passed) for c in coverage] == [
-            (9 * out.trace.s, 37, True)
+            (5 * out.trace.s, 1, True)
         ]
         assert (
-            "coloring instance was truncated to the (2l-1)(l-1)+1 cap\n"
-            in explain_trace(out.trace)
+            "shortfall t = max(0, l - a - c) = 1: coloring instance truncated "
+            "to the (2l-1)(t-1)+1 edge cap\n" in explain_trace(out.trace)
         )
-        assert verify_spider(g, out.spider, 5) is None
+        assert verify_spider(g, out.spider, 3) is None
 
     def test_result_lives_in_original_graph(self):
         # min out-degree above 2l: the working subgraph drops edges, the
@@ -136,9 +142,9 @@ def antiparallel_triangle_instance() -> Digraph:
     Vertices 1, 2, 3 point at the root 0 and at each other in both
     directions, all with in-degree 2, so their six 2-paths into 0 survive
     the strong-extender exclusion but collapse to a 3-edge triangle in the
-    extension graph.  A triangle's largest color class has one edge, so
-    s(2l-1) = 3 falls short of |Q_r| = 6 but covers |E(H_t)| = 3: color
-    classes cover undirected edges, not ordered paths.
+    extension graph.  Colored with t = l, a triangle's largest color class
+    has one edge, so s(2l-1) = 3 falls short of |Q_r| = 6 but covers
+    |E(H_t)| = 3: color classes cover undirected edges, not ordered paths.
     """
     edges = [(0, 4), (0, 5), (0, 6), (0, 7)]
     edges += [(1, 2), (1, 3), (1, 0), (1, 8)]
@@ -164,9 +170,13 @@ class TestAntiparallelPaths:
         assert verify_spider(g, out.spider, 2) is None
         assert all(c.passed for c in out.trace.checks)
         assert out.trace.root == 0
-        assert out.trace.q_size == 6 and out.trace.s == 1
-        coverage = [c for c in out.trace.checks if c.name == "s(2l-1) >= |E(H_t)|"]
-        assert [(c.lhs, c.rhs) for c in coverage] == [(3, 3)]
+        assert out.trace.q_size == 6
+        # a + c = 7 >= l leaves the solve nothing to color, so color the
+        # triangle through the stages with t = l.
+        ht, legs = color_class(g, 0, 2)
+        s = len(legs)
+        assert s == 1
+        assert (s * 3, ht.num_edges) == (3, 3)
 
 
 def few_extenders_instance() -> Digraph:
@@ -187,6 +197,16 @@ def few_extenders_instance() -> Digraph:
     return from_pairs(15, [(v, u) for v, row in enumerate(rows) for u in row])
 
 
+def color_class(g: Digraph, r: int, ell: int):
+    """H_t at root r with t = l, and its largest color class as legs."""
+    a_mask = partition_by_in_degree(g, ell)
+    paths = paths_into(g, r)
+    q = compute_q_paths(paths, a_mask, strong_extender_pool(paths, ell, a_mask))
+    ht = truncate_for_coloring(build_extension_graph(q), ell, ell)
+    cls = largest_color_class(vizing_color(ht)).tolist()
+    return ht, {(int(ht.leaf[i]), int(ht.mid[i])) for i in cls}
+
+
 class TestFewExtenders:
     def test_root_and_bound(self):
         g = few_extenders_instance()
@@ -194,6 +214,57 @@ class TestFewExtenders:
         assert verify_spider(g, out.spider, 3) is None
         assert out.trace.root == 5
         assert out.trace.a + out.trace.c == 2 and out.trace.q_size == 19
+
+
+def shortfall_instance() -> Digraph:
+    """4-out-regular graph whose chosen root 0 has a = c = 0 < l = 2.
+
+    The shortfall t = max(0, l - a - c) is l, so the color class supplies
+    every leg: H_t is capped at (2l-1)(t-1)+1 = 4 edges, and its largest
+    class has s = 2.  The score and |Q_r| bounds are both tight at 12.
+    Found by local search over edge rewirings.
+    """
+    rows = [
+        [8, 10, 11, 15], [7, 14, 15, 17], [0, 5, 7, 12], [0, 8, 9, 12],
+        [0, 9, 12, 17], [8, 9, 12, 16], [1, 2, 3, 15], [1, 6, 9, 11],
+        [0, 1, 3, 17], [1, 10, 13, 17], [2, 5, 6, 13], [0, 7, 15, 16],
+        [4, 6, 16, 17], [0, 1, 10, 14], [4, 6, 11, 16], [7, 9, 10, 14],
+        [1, 5, 6, 17], [5, 6, 9, 14],
+    ]
+    return from_pairs(18, [(v, u) for v, row in enumerate(rows) for u in row])
+
+
+class TestBindingTerm:
+    """The color class covers only what the extenders leave short."""
+
+    def test_color_class_supplies_every_leg(self):
+        g = shortfall_instance()
+        out = find_spider(g, 2)
+        assert verify_spider(g, out.spider, 2) is None
+        assert out.trace.root == 0
+        assert out.trace.a == out.trace.c == 0 and out.trace.q_size == 12
+        assert out.trace.shortfall == 2 and out.trace.s >= 2
+        _, legs = color_class(g, 0, 2)
+        assert set(out.spider.legs) <= legs
+
+    def test_c_extender_supplies_the_last_leg(self):
+        # A corpus spec with a = 18 < l <= a + c: t = 0, and the extenders
+        # are a_r followed by the first vertex of c_r.
+        g = gen_random_out_regular(480, 38, seed=357355202654319194)
+        out = find_spider(g, 19)
+        assert verify_spider(g, out.spider, 19) is None
+        assert (out.trace.root, out.trace.a, out.trace.c) == (36, 18, 20)
+        assert out.trace.shortfall == 0 and out.trace.s == 0
+        assert (
+            "shortfall t = max(0, l - a - c) = 0: coloring instance truncated "
+            "to the 0 edge cap\n" in explain_trace(out.trace)
+        )
+        pool = strong_extender_pool(
+            paths_into(g, 36), 19, partition_by_in_degree(g, 19)
+        )
+        vertices = out.spider.vertices()
+        assert set(pool.a_r.tolist()) <= vertices
+        assert int(pool.c_r[0]) in vertices
 
 
 def three_batch_instance() -> Digraph:
@@ -270,7 +341,7 @@ STAGE_DEFECTS = [
     ("vizing_color", _wide_palette, "palette <= 2l - 1",
      few_extenders_instance, 3),
     ("largest_color_class", _empty_class, "s(2l-1) >= |E(H_t)|",
-     lambda: gen_random_out_regular(18, 4, seed=1), 2),
+     few_extenders_instance, 3),
 ]
 
 
@@ -327,8 +398,8 @@ class TestOneEnforcementPoint:
             return check_proper(*args)
 
         monkeypatch.setattr(edge_coloring, "_check_proper", spied)
-        out = find_spider(gen_random_out_regular(200, 10, seed=3), 5)
-        assert out.trace.s >= 5
+        out = find_spider(shortfall_instance(), 2)
+        assert out.trace.s >= 2
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
@@ -361,12 +432,22 @@ class TestOneEnforcementPoint:
             find_spider(gen_complete_digraph(5), 2)
 
     def test_leg_through_root_fails_verification(self, monkeypatch):
-        # Paths 0 -> 1 -> 0 and 2 -> 3 -> 0 at root 0 touch the root and
-        # strong extenders; they color into one class that is the spider.
+        # Paths 0 -> 1 -> 0 and 2 -> 3 -> 0 at root 0 touch the root; they
+        # color into one class that is the spider.  With the pool emptied
+        # t = l, and six copies of each path meet the |Q_r| bound
+        # d^2 - d = 12.
+        none = np.empty(0, dtype=np.int64)
+        monkeypatch.setattr(
+            solver,
+            "strong_extender_pool",
+            lambda paths, ell, a_mask: ExtenderPool(a_r=none, c_r=none),
+        )
         monkeypatch.setattr(
             solver,
             "compute_q_paths",
-            lambda paths, a_mask, pool: QPaths(np.array([0, 2]), np.array([1, 3])),
+            lambda paths, a_mask, pool: QPaths(
+                np.array([0, 2] * 6), np.array([1, 3] * 6)
+            ),
         )
         g = gen_complete_digraph(5)
         with pytest.raises(
@@ -383,7 +464,7 @@ class TestOneRootView:
         "make_graph, ell, added",
         [
             (lambda: gen_complete_digraph(5), 2, 2),
-            (lambda: gen_random_out_regular(200, 10, seed=3), 5, 0),
+            (shortfall_instance, 2, 0),
         ],
         ids=["greedy", "no_greedy"],
     )
@@ -446,9 +527,9 @@ class TestExplainTrace:
         assert "FAIL" not in text
 
     def test_skip_note_when_base_suffices(self):
-        g = gen_random_out_regular(200, 10, seed=3)
-        out = find_spider(g, 5)
+        g = shortfall_instance()
+        out = find_spider(g, 2)
         text = explain_trace(out.trace)
-        assert out.trace.s >= 5
+        assert out.trace.s >= 2
         assert "greedy extension skipped (s >= l)" in text
         assert "truncated" in text
