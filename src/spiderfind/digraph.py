@@ -179,13 +179,13 @@ class Digraph:
 
         `in_nbrs` lists N^-(r), as a scan of the edges into r found it.
         `leaf` and `mid` list the paths with leaf != r in out-adjacency
-        order of their first edge leaf -> mid; r's own row is one slice.
+        order of their first edge leaf -> mid.
         """
         in_r = np.zeros(self.n, dtype=bool)
         in_r[in_nbrs] = True
         leaf, mid = self.edges_into(in_r)
-        own = np.s_[np.searchsorted(leaf, r) : np.searchsorted(leaf, r + 1)]
-        return in_r, np.delete(leaf, own), np.delete(mid, own)
+        keep = leaf != r
+        return in_r, leaf[keep], mid[keep]
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):

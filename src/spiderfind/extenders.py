@@ -39,27 +39,24 @@ class ExtenderPool:
 
 
 def _extension_keys(
-    n: int, leaf: np.ndarray, mid: np.ndarray, xs: np.ndarray
+    n: int, leaf: np.ndarray, mid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """O(x, r) for every x in `xs`, as ascending keys x*n + y, and the
-    ascending keys of its forward part, the y with x -> y -> r.
+    """O(x, r) for every x as ascending keys x*n + y, and the ascending
+    forward keys, those with x -> y -> r.
 
-    `leaf` and `mid` are the 2-paths leaf -> mid -> r with leaf != r.
+    Each 2-path leaf -> mid -> r (leaf != r, so no key has x = r) gives the
+    forward key leaf*n + mid and the backward key mid*n + leaf.
     """
-    want = np.zeros(n, dtype=bool)
-    want[xs] = True
-    fwd = want[leaf]
-    bwd = want[mid]
-    forward = leaf[fwd].astype(np.int64) * n + mid[fwd]
-    backward = mid[bwd].astype(np.int64) * n + leaf[bwd]
+    forward = leaf.astype(np.int64) * n + mid
+    backward = mid.astype(np.int64) * n + leaf
     # The graph is simple, so the forward keys are already distinct.
     forward.sort()
     return _sorted_distinct(np.concatenate((forward, backward))), forward
 
 
 def strong_extender_pool(paths: tuple, ell: int, a_mask: np.ndarray) -> ExtenderPool:
-    """Classify every (2l-1)-extender for r from its 2-paths `paths`, the
-    result of `Digraph.two_paths_into(r, in_nbrs)`.
+    """Classify the strong extenders for r, the x with |O(x, r)| >= 2l - 1,
+    from `paths`, the result of `Digraph.two_paths_into(r, in_nbrs)`.
 
     a_r is N^-(r) intersected with the high-in-degree class `a_mask`, a
     boolean mask over [0, n); each of its members is automatically strong
@@ -68,22 +65,9 @@ def strong_extender_pool(paths: tuple, ell: int, a_mask: np.ndarray) -> Extender
     """
     in_r, leaf, mid = paths
     n = in_r.shape[0]
-    thr = 2 * ell - 1
-    in_r_vertices = np.flatnonzero(in_r)
-    a_r = in_r_vertices[a_mask[in_r_vertices]]
-
-    # First-clause count |N^+(x) & N^-(r)| for every x.
-    count1 = np.bincount(leaf, minlength=n)
-    strong_mask = count1 >= thr
-
-    # In-neighbors of r outside a_r may still be strong through the second
-    # clause; take the exact size of O(x, r) just for the unresolved ones.
-    cand = in_r_vertices[~a_mask[in_r_vertices]]
-    cand = cand[count1[cand] < thr]
-    keys, _ = _extension_keys(n, leaf, mid, cand)
-    sizes = np.bincount(keys // n, minlength=n)
-    strong_mask[cand[sizes[cand] >= thr]] = True
-
+    a_r = np.flatnonzero(in_r & a_mask)
+    keys, _ = _extension_keys(n, leaf, mid)
+    strong_mask = np.bincount(keys // n, minlength=n) >= 2 * ell - 1
     strong_mask[a_r] = False
     return ExtenderPool(a_r=a_r, c_r=np.flatnonzero(strong_mask))
 
@@ -110,13 +94,12 @@ def greedy_extend(paths: tuple, base: Spider, f_seq: Sequence[int]) -> Spider:
     in_r, leaf, mid = paths
     n = in_r.shape[0]
     xs = np.asarray(f_list, dtype=np.int64)
-    keys, forward = _extension_keys(n, leaf, mid, xs)
+    keys, forward = _extension_keys(n, leaf, mid)
     bounds = np.searchsorted(keys, xs * n).tolist()
     ends = np.searchsorted(keys, xs * n + n).tolist()
     ys = []
     blocked = spider_verts | set(f_list)
     for x, b, e in zip(f_list, bounds, ends):
-        blocked.discard(x)
         ext = (keys[b:e] - x * n).tolist()
         y = next((v for v in ext if v not in blocked), None)
         if y is None:
@@ -124,7 +107,6 @@ def greedy_extend(paths: tuple, base: Spider, f_seq: Sequence[int]) -> Spider:
                 f"no attachment vertex available for extender {x}"
             )
         ys.append(y)
-        blocked.add(x)
         blocked.add(y)
     # A leg x, y is forward exactly when its key x*n + y is in `forward`.
     leg_keys = xs * n + np.asarray(ys, dtype=np.int64)

@@ -9,7 +9,11 @@ from spiderfind import (
     gen_complete_digraph,
     verify_spider,
 )
-from spiderfind.extenders import greedy_extend, strong_extender_pool
+from spiderfind.extenders import (
+    _extension_keys,
+    greedy_extend,
+    strong_extender_pool,
+)
 from spiderfind.root_selection import partition_by_in_degree
 from reference import (
     brute_extension_set,
@@ -66,6 +70,31 @@ class TestExtensionSet:
                 if x != r and len(brute_extension_set(g, x, r)) >= 2 * ell - 1
             }
             assert strong_set(g, r, ell, a_mask) == expected
+
+
+class TestExtensionKeys:
+    """`_extension_keys` is O(x, r) exactly, at every x and every root."""
+
+    @given(
+        st.one_of(
+            digraphs(min_n=2, max_n=8),
+            st.integers(1, 3).map(lambda ell: gen_complete_digraph(2 * ell + 1)),
+        )
+    )
+    def test_keys_are_the_extension_sets(self, g):
+        edges = set(g.edges())
+        for r in range(g.n):
+            _, leaf, mid = paths_into(g, r)
+            keys, forward = _extension_keys(g.n, leaf, mid)
+            assert np.all(np.diff(keys) > 0) and np.all(np.diff(forward) > 0)
+            xs, ys = (keys // g.n).tolist(), (keys % g.n).tolist()
+            assert r not in xs
+            for x in range(g.n):
+                if x != r:
+                    got = {y for kx, y in zip(xs, ys) if kx == x}
+                    assert got == brute_extension_set(g, x, r)
+            fwd = set(zip((forward // g.n).tolist(), (forward % g.n).tolist()))
+            assert fwd == {(x, y) for x, y in edges if x != r and (y, r) in edges}
 
 
 class TestIExtender:
