@@ -187,12 +187,6 @@ class Digraph:
         keep = leaf != r
         return in_r, leaf[keep], mid[keep]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            return False
-        row = self._indices[self._indptr[u] : self._indptr[u + 1]]
-        return v in row.tolist()
-
     def edges(self) -> Iterator[tuple[int, int]]:
         return zip(self.edge_src.tolist(), self._indices.tolist())
 

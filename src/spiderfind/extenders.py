@@ -31,11 +31,15 @@ class ExtenderPool:
     """Strong extenders for a root r, as disjoint ascending vertex arrays.
 
     a_r holds the in-neighbors of r in the high-in-degree class; c_r holds
-    every other strong extender.
+    every other strong extender.  `keys` and `forward` are the O(x, r) keys
+    of `_extension_keys(n, leaf, mid)`, which `greedy_extend` reads too.
     """
 
     a_r: np.ndarray
     c_r: np.ndarray
+    n: int
+    keys: np.ndarray
+    forward: np.ndarray
 
 
 def _extension_keys(
@@ -66,23 +70,23 @@ def strong_extender_pool(paths: tuple, ell: int, a_mask: np.ndarray) -> Extender
     in_r, leaf, mid = paths
     n = in_r.shape[0]
     a_r = np.flatnonzero(in_r & a_mask)
-    keys, _ = _extension_keys(n, leaf, mid)
+    keys, forward = _extension_keys(n, leaf, mid)
     strong_mask = np.bincount(keys // n, minlength=n) >= 2 * ell - 1
     strong_mask[a_r] = False
-    return ExtenderPool(a_r=a_r, c_r=np.flatnonzero(strong_mask))
+    return ExtenderPool(a_r, np.flatnonzero(strong_mask), n, keys, forward)
 
 
-def greedy_extend(paths: tuple, base: Spider, f_seq: Sequence[int]) -> Spider:
+def greedy_extend(pool: ExtenderPool, base: Spider, f_seq: Sequence[int]) -> Spider:
     """Attach one leg per f_seq vertex, in order, onto the base spider.
 
-    The root r comes from `base.root`; `paths` is
-    `Digraph.two_paths_into(r, in_nbrs)`.  Each x in f_seq must be a
-    sufficiently large extender for r (position i, 1-based, needs
-    |O(x, r)| >= f + 2s + i - 1 where f = len(f_seq) and s is the base leg
-    count); under that precondition an attachment vertex always exists.  The
-    attachment y is the smallest-id member of O(x, r) outside the current
-    spider and the unprocessed tail of f_seq; the leg is oriented
-    x -> y -> r when that path exists, else y -> x -> r.
+    The root r comes from `base.root`; `pool` is `strong_extender_pool`'s
+    result for r.  Each x in f_seq must be a sufficiently large extender
+    for r (position i, 1-based, needs |O(x, r)| >= f + 2s + i - 1 where
+    f = len(f_seq) and s is the base leg count); under that precondition an
+    attachment vertex always exists.  The attachment y is the smallest-id
+    member of O(x, r) outside the current spider and the unprocessed tail
+    of f_seq; the leg is oriented x -> y -> r when that path exists, else
+    y -> x -> r.
     """
     f_list = [int(x) for x in f_seq]
     if len(set(f_list)) != len(f_list):
@@ -91,23 +95,29 @@ def greedy_extend(paths: tuple, base: Spider, f_seq: Sequence[int]) -> Spider:
     if spider_verts & set(f_list):
         raise ValueError("f_seq must be disjoint from the base spider")
 
-    in_r, leaf, mid = paths
-    n = in_r.shape[0]
+    n, keys, forward = pool.n, pool.keys, pool.forward
     xs = np.asarray(f_list, dtype=np.int64)
-    keys, forward = _extension_keys(n, leaf, mid)
-    bounds = np.searchsorted(keys, xs * n).tolist()
-    ends = np.searchsorted(keys, xs * n + n).tolist()
-    ys = []
-    blocked = spider_verts | set(f_list)
-    for x, b, e in zip(f_list, bounds, ends):
-        ext = (keys[b:e] - x * n).tolist()
-        y = next((v for v in ext if v not in blocked), None)
+    # Every f_seq vertex's O(x, r) less the base spider and f_seq, in one
+    # gather; the loop then only skips attachments chosen for earlier legs.
+    lo = np.searchsorted(keys, xs * n)
+    size = np.searchsorted(keys, xs * n + n) - lo
+    run = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
+    cand = keys[run] % n
+    blocked = np.zeros(n, dtype=bool)
+    blocked[[*spider_verts, *f_list]] = True
+    free = ~blocked[cand]
+    ends = np.cumsum(np.concatenate(([0], free)))[np.cumsum(size)].tolist()
+    cand = cand[free].tolist()
+    ys, chosen, start = [], set(), 0
+    for x, end in zip(f_list, ends):
+        y = next((v for v in cand[start:end] if v not in chosen), None)
         if y is None:
             raise InternalInvariantError(
                 f"no attachment vertex available for extender {x}"
             )
         ys.append(y)
-        blocked.add(y)
+        chosen.add(y)
+        start = end
     # A leg x, y is forward exactly when its key x*n + y is in `forward`.
     leg_keys = xs * n + np.asarray(ys, dtype=np.int64)
     lo = np.searchsorted(forward, leg_keys)

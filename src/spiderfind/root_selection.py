@@ -94,13 +94,13 @@ def _score_batch(
     feeder, x_of = g.edges_into(in_batch)
     from_a = a_mask[feeder]
     # b -> x contributes |N^-(b)| minus one when the path v = x would repeat,
-    # i.e. when the antiparallel edge x -> b is also present.  The graph is
-    # simple, so that edge exists exactly when its key x*n + b is among the
-    # keys of the edges out of the batch.
+    # i.e. when the key x*n + b is among the batch's sorted out-edge keys;
+    # the extra key n*n is above every key, so every lookup lands on one.
     x_out, y_out = g.edges_out_of(xs)
-    back = np.isin(
-        x_of.astype(np.int64) * n + feeder, x_out.astype(np.int64) * n + y_out
-    )
+    out_keys = np.append(x_out.astype(np.int64) * n + y_out, n * n)
+    out_keys.sort()
+    in_keys = x_of.astype(np.int64) * n + feeder
+    back = out_keys[np.searchsorted(out_keys, in_keys)] == in_keys
     vb = np.where(from_a, 0, g.in_degrees[feeder] - back)
     a = np.bincount(x_of[from_a], minlength=n)[xs]
     # Integer weights below 2^53 sum exactly in float64.

@@ -143,7 +143,7 @@ def find_spider(g: Digraph, ell: int, mode: str = "checked") -> SolveOutcome:
 
     base = Spider(root=int(r), legs=base_legs[:ell])
     f_seq = np.concatenate((pool.a_r, pool.c_r))[: ell - len(base.legs)]
-    spider = greedy_extend(paths, base, f_seq)
+    spider = greedy_extend(pool, base, f_seq)
 
     report = verify_spider(g, spider, ell)
     if report is not None:

@@ -11,6 +11,8 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .digraph import Digraph, _content_lines, _int_token
 from .errors import SpiderFormatError
 
@@ -84,17 +86,26 @@ def verify_spider(g: Digraph, s: Spider, ell: int) -> Optional[ViolationReport]:
                     f"vertex {v} appears more than once",
                 )
             seen.add(v)
-    for leaf, mid in s.legs:
-        if not g.has_edge(leaf, mid):
-            return ViolationReport(
-                ViolationKind.MISSING_EDGE,
-                f"edge {leaf} -> {mid} not in graph",
-            )
-        if not g.has_edge(mid, s.root):
-            return ViolationReport(
-                ViolationKind.MISSING_EDGE,
-                f"edge {mid} -> {s.root} not in graph",
-            )
+    # Edge i is tails[i] -> heads[i]: each leg's leaf -> mid, then mid -> root.
+    tails = [v for leg in s.legs for v in leg]
+    heads = [v for _, mid in s.legs for v in (mid, s.root)]
+    n, k = g.n, len(tails)
+    if min(seen) < 0 or max(seen) >= n:
+        # An id outside [0, n) names no edge and never reaches an array.
+        bad = (i for i, e in enumerate(zip(tails, heads)) if min(e) < 0 or max(e) >= n)
+        k = next(bad)
+    tail = np.array(tails[:k], dtype=np.int64)
+    # want[u] is 1 + the head u's edge needs (the tails are distinct), and
+    # drops to 0 when u's row, read with the others in one call, holds it.
+    want = np.zeros(n, dtype=np.int64)
+    want[tail] = np.array(heads[:k], dtype=np.int64) + 1
+    x_out, y_out = g.edges_out_of(tail)
+    want[x_out[want[x_out] == y_out + 1]] = 0
+    i = next((i for i, w in enumerate(want[tail].tolist()) if w), k)
+    if i < len(tails):
+        return ViolationReport(
+            ViolationKind.MISSING_EDGE, f"edge {tails[i]} -> {heads[i]} not in graph"
+        )
     return None
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from spiderfind import Digraph
+from spiderfind import Digraph, ViolationKind, ViolationReport
 from spiderfind.edge_coloring import ExtensionGraph
 
 
@@ -77,6 +77,40 @@ def brute_greedy_extend(g: Digraph, r: int, base, f_seq) -> list | None:
         legs.append((x, y) if (x, y) in edges and (y, r) in edges else (y, x))
         blocked |= {x, y}
     return legs
+
+
+def reference_verify_spider(g: Digraph, s, ell: int):
+    """`verify_spider` as a loop over the legs, one edge lookup at a time:
+    the leg count, then vertex distinctness, then each leg's two edges in
+    leg order, and the first violation wins.
+    """
+    if len(s.legs) != ell:
+        return ViolationReport(
+            ViolationKind.WRONG_LEG_COUNT,
+            f"expected {ell} legs, found {len(s.legs)}",
+        )
+    seen = {s.root}
+    for leaf, mid in s.legs:
+        for v in (leaf, mid):
+            if v == s.root:
+                return ViolationReport(
+                    ViolationKind.ROOT_IN_LEG,
+                    f"root {s.root} appears inside a leg",
+                )
+            if v in seen:
+                return ViolationReport(
+                    ViolationKind.REPEATED_VERTEX,
+                    f"vertex {v} appears more than once",
+                )
+            seen.add(v)
+    edges = edge_set(g)
+    for leaf, mid in s.legs:
+        for u, v in ((leaf, mid), (mid, s.root)):
+            if (u, v) not in edges:
+                return ViolationReport(
+                    ViolationKind.MISSING_EDGE, f"edge {u} -> {v} not in graph"
+                )
+    return None
 
 
 def brute_two_paths_to(g: Digraph, r: int) -> list[tuple[int, int]]:

@@ -247,6 +247,22 @@ class TestVerify:
         assert code == 3
         assert "missing-edge" in err
 
+    def test_id_beyond_int64_is_a_missing_edge(self, capsys, monkeypatch, tmp_path):
+        # The first leg's leaf exceeds int64; it names no edge of K_5, and the
+        # report is the same as for any other missing edge.
+        gpath = tmp_path / "g.txt"
+        spath = tmp_path / "s.txt"
+        gpath.write_text(write_edge_list(gen_complete_digraph(5)))
+        spath.write_text("root 0\n100000000000000000000 1\n2 3\n")
+        code, out, err = run(
+            capsys, monkeypatch,
+            ["verify", "--ell", "2", "--graph", str(gpath), "--spider", str(spath)],
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "violation: missing-edge: edge 100000000000000000000 -> 1 not in graph\n"
+        )
+
 
 class TestOracle:
     def test_extremal_negative_exits_1(self, capsys, monkeypatch):

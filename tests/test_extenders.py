@@ -32,6 +32,11 @@ def no_a(g):
     return np.zeros(g.n, dtype=bool)
 
 
+def pool_at(g, r):
+    """A pool for root r; `greedy_extend` reads only its O(x, r) keys."""
+    return strong_extender_pool(paths_into(g, r), 1, no_a(g))
+
+
 def assert_pool_shape(pool):
     """a_r and c_r are strictly ascending and disjoint."""
     assert np.all(np.diff(pool.a_r) > 0) and np.all(np.diff(pool.c_r) > 0)
@@ -147,20 +152,26 @@ class TestStrongExtenderPool:
             if x != r and len(brute_extension_set(g, x, r)) >= thr
         }
         assert pooled == expected
+        edges = set(g.edges())
         for x in pool.a_r.tolist():
-            assert g.has_edge(x, r)
+            assert (x, r) in edges
             assert a_mask[x]
+        # The pool carries the O(x, r) keys it classified from.
+        keys, forward = _extension_keys(g.n, *paths_into(g, r)[1:])
+        assert pool.n == g.n
+        assert np.array_equal(pool.keys, keys)
+        assert np.array_equal(pool.forward, forward)
 
 
 class TestGreedyExtend:
     def test_empty_sequence_returns_base(self):
         g = gen_complete_digraph(5)
         base = Spider(0, ((1, 2),))
-        assert greedy_extend(paths_into(g, 0), base, []) == base
+        assert greedy_extend(pool_at(g, 0), base, []) == base
 
     def test_k5_attaches_remaining_vertex(self):
         g = gen_complete_digraph(5)
-        out = greedy_extend(paths_into(g, 0), Spider(0, ((1, 2),)), [3])
+        out = greedy_extend(pool_at(g, 0), Spider(0, ((1, 2),)), [3])
         assert out.legs == ((1, 2), (3, 4))
         assert verify_spider(g, out, 2) is None
 
@@ -170,27 +181,38 @@ class TestGreedyExtend:
             InternalInvariantError,
             match="^no attachment vertex available for extender 3$",
         ):
-            greedy_extend(paths_into(CHAIN, 0), base, [3])
+            greedy_extend(pool_at(CHAIN, 0), base, [3])
+
+    @pytest.mark.parametrize("f_seq", [[3, 1], [1, 3]])
+    def test_empty_extension_set_anywhere_in_f_seq(self, f_seq):
+        # O(3, 0) is empty and O(1, 0) = {2}: the empty run of candidates
+        # fails at 3 wherever it sits, without shifting the other runs.
+        g = from_pairs(4, [(1, 0), (2, 1), (3, 0)])
+        with pytest.raises(
+            InternalInvariantError,
+            match="^no attachment vertex available for extender 3$",
+        ):
+            greedy_extend(pool_at(g, 0), Spider(0), f_seq)
 
     def test_prefers_extender_as_leaf(self):
         g = gen_complete_digraph(3)
-        out = greedy_extend(paths_into(g, 0), Spider(0), [1])
+        out = greedy_extend(pool_at(g, 0), Spider(0), [1])
         assert out.legs == ((1, 2),)
 
     def test_reverse_orientation_used_when_needed(self):
         g = from_pairs(3, [(2, 1), (1, 0)])
-        out = greedy_extend(paths_into(g, 0), Spider(0), [1])
+        out = greedy_extend(pool_at(g, 0), Spider(0), [1])
         assert out.legs == ((2, 1),)
         assert verify_spider(g, out, 1) is None
 
     def test_smallest_candidate_wins(self):
         g = gen_complete_digraph(5)
-        out = greedy_extend(paths_into(g, 0), Spider(0), [1])
+        out = greedy_extend(pool_at(g, 0), Spider(0), [1])
         assert out.legs == ((1, 2),)
 
     def test_candidates_skip_pending_extenders(self):
         g = gen_complete_digraph(7)
-        out = greedy_extend(paths_into(g, 0), Spider(0), [1, 2, 3])
+        out = greedy_extend(pool_at(g, 0), Spider(0), [1, 2, 3])
         assert verify_spider(g, out, 3) is None
         # 1 cannot grab 2 or 3: they are later extenders.
         assert out.legs[0] == (1, 4)
@@ -198,9 +220,9 @@ class TestGreedyExtend:
     def test_rejects_overlapping_f_seq(self):
         g = gen_complete_digraph(5)
         with pytest.raises(ValueError):
-            greedy_extend(paths_into(g, 0), Spider(0, ((1, 2),)), [1])
+            greedy_extend(pool_at(g, 0), Spider(0, ((1, 2),)), [1])
         with pytest.raises(ValueError):
-            greedy_extend(paths_into(g, 0), Spider(0), [3, 3])
+            greedy_extend(pool_at(g, 0), Spider(0), [3, 3])
 
     @given(out_regular_digraphs(max_ell=4, max_n=30))
     @settings(max_examples=60)
@@ -215,7 +237,7 @@ class TestGreedyExtend:
         f_seq = np.concatenate((pool.a_r, pool.c_r))[:ell]
         if len(f_seq) < ell:
             return
-        out = greedy_extend(paths_into(g, r), Spider(r), f_seq)
+        out = greedy_extend(pool, Spider(r), f_seq)
         assert verify_spider(g, out, ell) is None
 
     def test_tight_positional_requirements(self):
@@ -228,7 +250,7 @@ class TestGreedyExtend:
         )
         assert len(brute_extension_set(g, 1, 0)) == 2
         assert len(brute_extension_set(g, 2, 0)) == 3
-        out = greedy_extend(paths_into(g, 0), Spider(0), [1, 2])
+        out = greedy_extend(pool_at(g, 0), Spider(0), [1, 2])
         assert out.legs == ((1, 3), (2, 4))
         assert verify_spider(g, out, 2) is None
 
@@ -254,7 +276,7 @@ class TestGreedyExtend:
         if len(eligible) < f:
             return
         f_seq = data.draw(st.permutations(eligible))[:f]
-        out = greedy_extend(paths_into(g, r), base, f_seq)
+        out = greedy_extend(pool_at(g, r), base, f_seq)
         assert verify_spider(g, out, s + f) is None
 
     @given(
@@ -291,7 +313,7 @@ class TestGreedyExtend:
         expected = brute_greedy_extend(g, r, base, f_seq)
         if expected is None:
             with pytest.raises(InternalInvariantError):
-                greedy_extend(paths_into(g, r), base, f_seq)
+                greedy_extend(pool_at(g, r), base, f_seq)
         else:
-            out = greedy_extend(paths_into(g, r), base, f_seq)
+            out = greedy_extend(pool_at(g, r), base, f_seq)
             assert list(out.legs) == expected

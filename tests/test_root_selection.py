@@ -284,6 +284,38 @@ class TestScoreRoots:
         assert set((2 * ell * a + vb).tolist()) == {9}
 
 
+class TestScoreBatch:
+    """`_score_batch` on hand-built batches, against `brute_scores`."""
+
+    def assert_batch_exact(self, g, a_mask, ell, xs):
+        a, vb, (feeder, x_of) = root_selection._score_batch(
+            g, a_mask, np.array(xs)
+        )
+        brute = brute_scores(g, a_mask, ell)
+        assert a.tolist() == [brute[x][1] for x in xs]
+        assert vb.tolist() == [brute[x][2] for x in xs]
+        in_edges = list(zip(feeder.tolist(), x_of.tolist()))
+        assert in_edges == [(u, v) for u, v in g.edges() if v in xs]
+
+    def test_member_without_out_edges(self):
+        # Sink 0 is fed by A vertex 1 and B vertices 2 and 3; the batch
+        # has no out-edges at all, so no in-edge is antiparallel.
+        g = from_pairs(5, [(1, 0), (2, 0), (3, 0), (4, 2), (1, 2), (4, 3)])
+        a_mask = manual_partition(5, {0, 1})
+        self.assert_batch_exact(g, a_mask, 1, [0])
+
+    def test_every_feeder_antiparallel(self):
+        # Each of 0's B in-neighbors 1, 2, 3 also receives an edge from 0,
+        # and 5's one in-neighbor 4 receives one from 5: both members need
+        # the correction on every in-edge.
+        pairs = [(0, b) for b in (1, 2, 3)] + [(b, 0) for b in (1, 2, 3)]
+        pairs += [(4, 5), (5, 4), (1, 3), (4, 1), (2, 4)]
+        g = from_pairs(6, pairs)
+        a_mask = manual_partition(6, {0, 5})
+        self.assert_batch_exact(g, a_mask, 2, [0, 5])
+        self.assert_batch_exact(g, a_mask, 2, [5, 0])
+
+
 class TestSelectRoot:
     def test_k5_tiebreak_zero(self):
         g = gen_complete_digraph(5)
@@ -337,7 +369,7 @@ class TestQPaths:
         g = from_pairs(4, [(1, 2), (3, 2), (2, 0)])
         a_mask = manual_partition(4, {0})
         none = np.empty(0, dtype=np.int64)
-        pool = ExtenderPool(a_r=none, c_r=none)
+        pool = ExtenderPool(a_r=none, c_r=none, n=4, keys=none, forward=none)
         q = compute_q_paths(paths_into(g, 0), a_mask, pool)
         assert set(zip(q.first.tolist(), q.middle.tolist())) == {(1, 2), (3, 2)}
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 import spiderfind.digraph as digraph
 import spiderfind.edge_coloring as edge_coloring
+import spiderfind.extenders as extenders
 import spiderfind.solver as solver
 from spiderfind import (
     Digraph,
@@ -27,7 +28,7 @@ from spiderfind.edge_coloring import (
     truncate_for_coloring,
     vizing_color,
 )
-from spiderfind.extenders import ExtenderPool, strong_extender_pool
+from spiderfind.extenders import strong_extender_pool
 from spiderfind.root_selection import QPaths, compute_q_paths, partition_by_in_degree
 from reference import from_pairs, paths_into
 from strategies import min_out_degree_digraphs, out_regular_digraphs
@@ -375,7 +376,9 @@ class TestOneEnforcementPoint:
         monkeypatch.setattr(
             solver,
             "strong_extender_pool",
-            lambda paths, ell, a_mask: ExtenderPool(a_r=none, c_r=none),
+            lambda *args: dataclasses.replace(
+                strong_extender_pool(*args), a_r=none, c_r=none
+            ),
         )
         build_extension_graph = solver.build_extension_graph
         monkeypatch.setattr(
@@ -440,7 +443,9 @@ class TestOneEnforcementPoint:
         monkeypatch.setattr(
             solver,
             "strong_extender_pool",
-            lambda paths, ell, a_mask: ExtenderPool(a_r=none, c_r=none),
+            lambda *args: dataclasses.replace(
+                strong_extender_pool(*args), a_r=none, c_r=none
+            ),
         )
         monkeypatch.setattr(
             solver,
@@ -480,6 +485,28 @@ class TestOneRootView:
         out = find_spider(make_graph(), ell)
         assert max(ell - out.trace.s, 0) == added
         assert roots == [out.spider.root]
+
+    @pytest.mark.parametrize(
+        "make_graph, ell, shortfall",
+        [
+            (lambda: gen_random_out_regular(300, 6, seed=3), 3, 0),
+            (shortfall_instance, 2, 2),
+        ],
+        ids=["t0_random", "t_equals_l"],
+    )
+    def test_extension_keys_run_once(self, monkeypatch, make_graph, ell, shortfall):
+        # The strong-extender pool and greedy extension read one O(x, r) sort.
+        calls = []
+        extension_keys = extenders._extension_keys
+
+        def counted(n, leaf, mid):
+            calls.append(n)
+            return extension_keys(n, leaf, mid)
+
+        monkeypatch.setattr(extenders, "_extension_keys", counted)
+        out = find_spider(make_graph(), ell)
+        assert out.trace.shortfall == shortfall
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "make_graph, ell",

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spiderfind import (
@@ -12,10 +12,44 @@ from spiderfind import (
     parse_spider,
     verify_spider,
 )
-from reference import NOT_LINE_ENDS
+from reference import NOT_LINE_ENDS, from_pairs, reference_verify_spider
 from strategies import digraphs
 
 TRIANGLE = parse_edge_list("3 3\n0 1\n1 2\n2 0\n")
+
+
+@st.composite
+def hostile_spiders(draw):
+    """(graph, spider, l): up to 2l + 1 distinct ids, some of them then
+    replaced by hostile ones (negative, >= n, >= 2^63, or an id already
+    used, which puts the root in a leg or repeats a vertex), on a complete
+    digraph with some of the spider's own edges taken out.
+    """
+    n = draw(st.integers(1, 9))
+    ell = draw(st.integers(1, 4))
+    ids = draw(st.permutations(range(max(n, 2 * ell + 1))))[: 2 * ell + 1]
+    hostile = st.one_of(
+        st.integers(0, n + 1),
+        st.sampled_from([-1, -(2**63) - 1, 2**63 - 1, 2**63, 10**20]),
+    )
+    swaps = st.lists(st.tuples(st.integers(0, 2 * ell), hostile), max_size=3)
+    for i, v in draw(swaps):
+        ids[i] = v
+    root, legs = ids[0], tuple(zip(ids[1::2], ids[2::2]))
+    spider_edges = [
+        (u, v)
+        for leaf, mid in legs
+        for u, v in ((leaf, mid), (mid, root))
+        if 0 <= u < n and 0 <= v < n and u != v
+    ]
+    drop = set()
+    if spider_edges:
+        drop = set(draw(st.lists(st.sampled_from(spider_edges), max_size=2)))
+    pairs = [
+        (u, v) for u in range(n) for v in range(n) if u != v and (u, v) not in drop
+    ]
+    ell_arg = draw(st.sampled_from([ell, ell, ell + 1]))
+    return from_pairs(n, pairs), Spider(root, legs), ell_arg
 
 
 class TestVerify:
@@ -89,6 +123,20 @@ class TestVerify:
         if g.n >= 2 * ell + 1:
             return
         assert has_spider_bruteforce(g, ell).exists is False
+
+    @given(hostile_spiders())
+    @settings(max_examples=300)
+    def test_hostile_spiders_match_the_reference_loop(self, case):
+        # Out-of-range ids, the root in a leg, repeated vertices and missing
+        # leaf -> mid or mid -> root edges get the same first violation as
+        # the leg-by-leg reference loop.
+        g, spider, ell = case
+        got = verify_spider(g, spider, ell)
+        expected = reference_verify_spider(g, spider, ell)
+        if expected is None:
+            assert got is None
+        else:
+            assert (got.kind, got.message) == (expected.kind, expected.message)
 
     @given(digraphs(max_n=5), st.data())
     def test_verifier_total_on_arbitrary_certificates(self, g, data):
