@@ -513,14 +513,29 @@ class TestTwoPathsInto:
 
 
 def assert_edges_into(g: Digraph, mask: np.ndarray) -> None:
-    """edges_into(mask) lists the edges into the mask in edge order, with
-    the tails `edge_src` holds.
+    """edges_into(heads) lists the edges into the mask's vertices in edge
+    order, with the tails `edge_src` holds.
     """
-    tail, head = g.edges_into(mask)
+    tail, head = g.edges_into(np.flatnonzero(mask))
     assert tail.dtype == head.dtype == np.int32
     e = np.flatnonzero(mask[g.edge_dst])
     assert np.array_equal(tail, g.edge_src[e])
     assert np.array_equal(head, g.edge_dst[e])
+
+
+def assert_one_head_scan(g: Digraph, v: int, expected: list) -> None:
+    """edges_into([v]), an equality scan, lists `expected`, the edges into
+    v in edge order, and the same edges as the mask gather.  A second head
+    sends edges_into through the gather, and its edges are then dropped.
+    """
+    tail, head = g.edges_into(np.array([v]))
+    assert tail.dtype == head.dtype == np.int32
+    assert list(zip(tail.tolist(), head.tolist())) == expected
+    if g.n > 1:
+        m_tail, m_head = g.edges_into(np.array([v, (v + 1) % g.n]))
+        into_v = m_head == v
+        assert np.array_equal(tail, m_tail[into_v])
+        assert np.array_equal(head, m_head[into_v])
 
 
 class TestEdgesInto:
@@ -537,9 +552,9 @@ class TestEdgesInto:
     def test_empty_and_full_mask(self, name):
         n, pairs = _EMPTY_ROW_GRAPHS[name]
         g = from_pairs(n, pairs)
-        tail, head = g.edges_into(np.zeros(n, dtype=bool))
+        tail, head = g.edges_into(np.arange(0))
         assert tail.size == head.size == 0
-        tail, head = g.edges_into(np.ones(n, dtype=bool))
+        tail, head = g.edges_into(np.arange(n))
         # The pairs are listed by source, so they are in edge order.
         assert list(zip(tail.tolist(), head.tolist())) == pairs
 
@@ -552,6 +567,36 @@ class TestEdgesInto:
         g = gen_random_out_regular(5000, 40, 2)
         assert g.m >= 3 * _GATHER_CHUNK
         assert_edges_into(g, np.random.default_rng(0).random(g.n) < 0.01)
+
+
+class TestOneHeadScan:
+    """The scan for a single head agrees with the mask gather and with
+    brute force, on every vertex: v = 0, v = n - 1, vertices with no
+    in-edges, and heads whose tails sit next to rows of out-degree 0.
+    """
+
+    @pytest.mark.parametrize("name", list(_EMPTY_ROW_GRAPHS))
+    def test_every_vertex_over_empty_rows(self, name):
+        n, pairs = _EMPTY_ROW_GRAPHS[name]
+        g = from_pairs(n, pairs)
+        assert (g.in_degrees == 0).any()
+        for v in range(n):
+            assert_one_head_scan(g, v, [(u, w) for u, w in pairs if w == v])
+
+    @given(digraphs())
+    def test_every_vertex_matches_bruteforce(self, g):
+        for v in range(g.n):
+            assert_one_head_scan(g, v, [(u, w) for u, w in g.edges() if w == v])
+
+    def test_every_vertex_across_gather_slices(self):
+        g = gen_random_out_regular(5000, 40, 2)
+        assert g.m >= 3 * _GATHER_CHUNK
+        # The edges into each vertex, in edge order, from one stable sort.
+        e = np.argsort(g.edge_dst, kind="stable")
+        into = np.split(e, np.cumsum(g.in_degrees)[:-1])
+        src = g.edge_src
+        for v in range(g.n):
+            assert_one_head_scan(g, v, [(int(u), v) for u in src[into[v]]])
 
 
 def assert_edges_out_of(g: Digraph, xs: list[int]) -> None:

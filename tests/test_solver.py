@@ -521,8 +521,9 @@ class TestOneRootView:
         self, monkeypatch, batch_sizes, make_graph, ell
     ):
         """A solve reads tails from the CSR, never the per-edge source
-        array, and gathers over all m edges once per scoring batch and once
-        for the root's 2-paths.
+        array, and makes one pass over all m edge heads per scoring batch
+        and one for the root's 2-paths: an equality scan for a one-vertex
+        batch, and a mask gather for a larger batch and for N^-(r).
         """
         g = make_graph()
         assert (g.out_degrees == 2 * ell).all()
@@ -534,15 +535,28 @@ class TestOneRootView:
         gather = digraph._gather
 
         def counted(table, idx):
-            scans.append(idx.shape[0])
+            if idx.shape[0] == g.m:
+                scans.append("gather")
             return gather(table, idx)
 
+        class EdgeHeads(np.ndarray):
+            """The graph's edge heads, counting each compare against them."""
+
+            def __eq__(self, other):
+                if self is heads:
+                    scans.append("scan")
+                return np.ndarray.__eq__(self, other)
+
+        heads = g.edge_dst.view(EdgeHeads)
+        monkeypatch.setattr(g, "_indices", heads)
         monkeypatch.setattr(Digraph, "edge_src", property(no_edge_src))
         monkeypatch.setattr(digraph, "_gather", counted)
         out = find_spider(g, ell)
         assert verify_spider(g, out.spider, ell) is None
         assert batch_sizes
-        assert scans.count(g.m) == len(batch_sizes) + 1
+        # A one-vertex batch, the first one included, makes no gather.
+        per_batch = ["scan" if size == 1 else "gather" for size in batch_sizes]
+        assert scans == per_batch + ["gather"]
 
 
 class TestExplainTrace:
