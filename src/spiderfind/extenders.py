@@ -60,16 +60,17 @@ def _extension_keys(
 
 def strong_extender_pool(paths: tuple, ell: int, a_mask: np.ndarray) -> ExtenderPool:
     """Classify the strong extenders for r, the x with |O(x, r)| >= 2l - 1,
-    from `paths`, the result of `Digraph.two_paths_into(r, in_nbrs)`.
+    from `paths` = (N^-(r) ascending, leaf, mid), the 2-paths
+    leaf -> mid -> r with leaf != r.
 
     a_r is N^-(r) intersected with the high-in-degree class `a_mask`, a
     boolean mask over [0, n); each of its members is automatically strong
     (it points at r and has at least 2l-1 in-neighbors besides r).  r itself
     is never strong: no 2-path into r starts at r, and N^-(r) excludes r.
     """
-    in_r, leaf, mid = paths
-    n = in_r.shape[0]
-    a_r = np.flatnonzero(in_r & a_mask)
+    in_nbrs, leaf, mid = paths
+    n = a_mask.shape[0]
+    a_r = in_nbrs[a_mask[in_nbrs]]
     keys, forward = _extension_keys(n, leaf, mid)
     strong_mask = np.bincount(keys // n, minlength=n) >= 2 * ell - 1
     strong_mask[a_r] = False

@@ -151,16 +151,18 @@ def select_root(scores: RootScores) -> RootScore:
     return RootScore(*(int(col[i]) for col in columns))
 
 
-def compute_q_paths(paths: tuple, a_mask: np.ndarray, pool: ExtenderPool) -> QPaths:
+def compute_q_paths(paths: tuple, pool: ExtenderPool) -> QPaths:
     """All v -> b -> r with b in B, avoiding r and every strong extender.
 
-    `paths` is `Digraph.two_paths_into(r, in_nbrs)`.  The count is
-    guaranteed to be at least d^2 - d - (a+c)(4l-1), a bound that may be
-    vacuously negative.
+    `paths` is (N^-(r), leaf, mid), the 2-paths leaf -> mid -> r with
+    leaf != r.  Each mid is in N^-(r), so a mid in A is in a_r and excluded
+    as a strong extender; the kept mids are in B without a test of A.  The
+    count is guaranteed to be at least d^2 - d - (a+c)(4l-1), a bound that
+    may be vacuously negative.
     """
-    in_r, leaf, mid = paths
-    excluded = np.zeros(in_r.shape[0], dtype=bool)
+    _, leaf, mid = paths
+    excluded = np.zeros(pool.n, dtype=bool)
     excluded[pool.a_r] = True
     excluded[pool.c_r] = True
-    keep = ~(a_mask[mid] | excluded[mid] | excluded[leaf])
+    keep = ~(excluded[mid] | excluded[leaf])
     return QPaths(first=leaf[keep], middle=mid[keep])

@@ -101,16 +101,20 @@ def find_spider(g: Digraph, ell: int, mode: str = "checked") -> SolveOutcome:
     root_score = select_root(scores)
     r = root_score.x
 
-    # Every later stage reads the root through its 2-paths, found once.  r
-    # is in the last batch scored, so its in-neighbors come from that scan.
+    # Every later stage reads the root through its 2-paths leaf -> mid -> r,
+    # leaf != r, found once.  r is in the last batch scored, so N^-(r) comes
+    # from that scan, ascending as the edges were.
     tail, head = scores.in_edges
-    paths = work.two_paths_into(r, tail[head == r])
+    in_nbrs = tail[head == r]
+    leaf, mid = work.edges_into(in_nbrs)
+    keep = leaf != r
+    paths = (in_nbrs, leaf[keep], mid[keep])
     pool = strong_extender_pool(paths, ell, a_mask)
     a = len(pool.a_r)
     c = len(pool.c_r)
     shortfall = max(0, ell - a - c)
 
-    q = compute_q_paths(paths, a_mask, pool)
+    q = compute_q_paths(paths, pool)
     q_size = len(q)
 
     h = build_extension_graph(q)

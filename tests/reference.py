@@ -40,8 +40,14 @@ def brute_in_neighbors(g: Digraph, v: int) -> list[int]:
 
 
 def paths_into(g: Digraph, r: int):
-    """`g.two_paths_into(r, in_nbrs)`, with N^-(r) from `brute_in_neighbors`."""
-    return g.two_paths_into(r, np.asarray(brute_in_neighbors(g, r), dtype=np.int64))
+    """(N^-(r) ascending, leaf, mid): every 2-path leaf -> mid -> r with
+    leaf != r, in out-adjacency order of leaf -> mid, by scanning every edge.
+    """
+    in_nbrs = brute_in_neighbors(g, r)
+    into_r = set(in_nbrs)
+    pairs = [(u, w) for u, w in g.edges() if w in into_r and u != r]
+    leaf, mid = np.array(pairs, dtype=np.int32).reshape(-1, 2).T
+    return np.array(in_nbrs, dtype=np.int32), leaf, mid
 
 
 def brute_extension_set(g: Digraph, x: int, r: int) -> set[int]:

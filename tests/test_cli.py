@@ -389,6 +389,17 @@ class TestIOErrors:
         assert code == 64
         assert "error" in err
 
+    def test_unwritable_output_path(self, capsys, monkeypatch, tmp_path):
+        out_path = tmp_path / "no-such-dir" / "spider.txt"
+        code, out, err = run(
+            capsys, monkeypatch,
+            ["solve", "--ell", "1", "-o", str(out_path)],
+            stdin=write_edge_list(gen_complete_digraph(3)),
+        )
+        assert code == 64 and out == ""
+        assert err.startswith("io error: ")
+        assert not out_path.parent.exists()
+
     @pytest.mark.parametrize("path", ["stdin", "file"])
     def test_non_utf8_graph_is_parse_error(self, capsys, monkeypatch, tmp_path, path):
         # Invalid UTF-8 decodes the same way from stdin and from a file, so

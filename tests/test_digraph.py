@@ -19,9 +19,7 @@ from spiderfind import (
 from reference import (
     NOT_LINE_ENDS,
     brute_in_neighbors,
-    brute_two_paths_to,
     from_pairs,
-    paths_into,
     reference_write_edge_list,
 )
 from spiderfind.digraph import (
@@ -137,20 +135,30 @@ def out_rows(g: Digraph) -> list[np.ndarray]:
     return np.split(g.edge_dst, np.cumsum(g.out_degrees)[:-1])
 
 
-def assert_two_paths_into(g: Digraph, r: int) -> None:
-    """two_paths_into(r, N^-(r)) agrees with edge scans, paths in edge order."""
-    in_r, leaf, mid = paths_into(g, r)
-    assert leaf.dtype == mid.dtype == np.int32
-    assert np.flatnonzero(in_r).tolist() == brute_in_neighbors(g, r)
-    paths = list(zip(leaf.tolist(), mid.tolist()))
-    expected = set(brute_two_paths_to(g, r))
-    assert paths == [e for e in g.edges() if e in expected]
+def assert_edges_into(g: Digraph, mask: np.ndarray) -> None:
+    """edges_into(heads) lists the edges into the mask's vertices in edge
+    order, with the tails `edge_src` holds.
+    """
+    tail, head = g.edges_into(np.flatnonzero(mask))
+    assert tail.dtype == head.dtype == np.int32
+    e = np.flatnonzero(mask[g.edge_dst])
+    assert np.array_equal(tail, g.edge_src[e])
+    assert np.array_equal(head, g.edge_dst[e])
+
+
+def in_nbr_mask(g: Digraph, v: int) -> np.ndarray:
+    """N^-(v) as a boolean mask over [0, n), by scanning every edge."""
+    mask = np.zeros(g.n, dtype=bool)
+    mask[brute_in_neighbors(g, v)] = True
+    return mask
 
 
 def assert_mirror_consistent(g: Digraph) -> None:
-    """two_paths_into agrees with edge scans at every vertex."""
+    """edges_into(N^-(v)), the edges of the 2-paths into v, agrees with
+    edge scans at every vertex v.
+    """
     for v in range(g.n):
-        assert_two_paths_into(g, v)
+        assert_edges_into(g, in_nbr_mask(g, v))
     assert g.m == len(set(g.edges()))
 
 
@@ -410,6 +418,16 @@ class TestRegularTournament:
         )
 
 
+def test_equal_graphs_hash_equal_and_key_a_dict():
+    # The same edges built two ways: generated CSR rows, and edge arrays.
+    g = gen_random_out_regular(50, 4, seed=0)
+    same = from_pairs(g.n, g.edges())
+    assert same == g and hash(same) == hash(g)
+    kept = {g: "result"}
+    assert kept[same] == "result"
+    assert gen_random_out_regular(50, 4, seed=1) not in kept
+
+
 def test_no_per_edge_array_is_kept():
     # The CSR indices are the one per-edge array a graph keeps; edge_src is
     # derived on each call, also after edges() and in_degrees have run.
@@ -499,30 +517,6 @@ class TestDegrees:
         assert int(g.in_degrees.sum()) == g.m
 
 
-class TestTwoPathsInto:
-    @given(digraphs(), st.data())
-    def test_matches_bruteforce(self, g, data):
-        assert_two_paths_into(g, data.draw(st.integers(0, g.n - 1)))
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_matches_bruteforce_across_gather_slices(self, seed):
-        g = gen_random_out_regular(5000, 40, seed)
-        assert g.m >= 3 * _GATHER_CHUNK
-        for r in (0, 2500, 4999):
-            assert_two_paths_into(g, r)
-
-
-def assert_edges_into(g: Digraph, mask: np.ndarray) -> None:
-    """edges_into(heads) lists the edges into the mask's vertices in edge
-    order, with the tails `edge_src` holds.
-    """
-    tail, head = g.edges_into(np.flatnonzero(mask))
-    assert tail.dtype == head.dtype == np.int32
-    e = np.flatnonzero(mask[g.edge_dst])
-    assert np.array_equal(tail, g.edge_src[e])
-    assert np.array_equal(head, g.edge_dst[e])
-
-
 def assert_one_head_scan(g: Digraph, v: int, expected: list) -> None:
     """edges_into([v]), an equality scan, lists `expected`, the edges into
     v in edge order, and the same edges as the mask gather.  A second head
@@ -567,6 +561,18 @@ class TestEdgesInto:
         g = gen_random_out_regular(5000, 40, 2)
         assert g.m >= 3 * _GATHER_CHUNK
         assert_edges_into(g, np.random.default_rng(0).random(g.n) < 0.01)
+
+    @given(digraphs(), st.data())
+    def test_in_neighbourhood_matches_bruteforce(self, g, data):
+        r = data.draw(st.integers(0, g.n - 1))
+        assert_edges_into(g, in_nbr_mask(g, r))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_in_neighbourhood_across_gather_slices(self, seed):
+        g = gen_random_out_regular(5000, 40, seed)
+        assert g.m >= 3 * _GATHER_CHUNK
+        for r in (0, 2500, 4999):
+            assert_edges_into(g, in_nbr_mask(g, r))
 
 
 class TestOneHeadScan:

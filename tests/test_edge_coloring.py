@@ -244,7 +244,7 @@ class TestPayloadSoundness:
         a_mask = partition_by_in_degree(g, ell)
         r = int(select_root(score_roots(g, a_mask, ell)).x)
         pool = strong_extender_pool(paths_into(g, r), ell, a_mask)
-        q = compute_q_paths(paths_into(g, r), a_mask, pool)
+        q = compute_q_paths(paths_into(g, r), pool)
         h = build_extension_graph(q)
         ht = truncate_for_coloring(h, ell, ell)
         col = vizing_color(ht)

@@ -362,15 +362,14 @@ class TestQPaths:
         g = gen_complete_digraph(5)
         a_mask = partition_by_in_degree(g, 2)
         pool = strong_extender_pool(paths_into(g, 0), 2, a_mask)
-        q = compute_q_paths(paths_into(g, 0), a_mask, pool)
+        q = compute_q_paths(paths_into(g, 0), pool)
         assert len(q) == 0
 
     def test_no_exclusions_keeps_all_vb_paths(self):
         g = from_pairs(4, [(1, 2), (3, 2), (2, 0)])
-        a_mask = manual_partition(4, {0})
         none = np.empty(0, dtype=np.int64)
         pool = ExtenderPool(a_r=none, c_r=none, n=4, keys=none, forward=none)
-        q = compute_q_paths(paths_into(g, 0), a_mask, pool)
+        q = compute_q_paths(paths_into(g, 0), pool)
         assert set(zip(q.first.tolist(), q.middle.tolist())) == {(1, 2), (3, 2)}
 
     @given(out_regular_digraphs(max_ell=3, max_n=20))
@@ -380,7 +379,7 @@ class TestQPaths:
         a_mask = partition_by_in_degree(g, ell)
         r = int(select_root(score_roots(g, a_mask, ell)).x)
         pool = strong_extender_pool(paths_into(g, r), ell, a_mask)
-        q = compute_q_paths(paths_into(g, r), a_mask, pool)
+        q = compute_q_paths(paths_into(g, r), pool)
         excluded = set(pool.a_r.tolist()) | set(pool.c_r.tolist())
         edges = set(g.edges())
         for first, middle in zip(q.first.tolist(), q.middle.tolist()):

@@ -202,7 +202,7 @@ def color_class(g: Digraph, r: int, ell: int):
     """H_t at root r with t = l, and its largest color class as legs."""
     a_mask = partition_by_in_degree(g, ell)
     paths = paths_into(g, r)
-    q = compute_q_paths(paths, a_mask, strong_extender_pool(paths, ell, a_mask))
+    q = compute_q_paths(paths, strong_extender_pool(paths, ell, a_mask))
     ht = truncate_for_coloring(build_extension_graph(q), ell, ell)
     cls = largest_color_class(vizing_color(ht)).tolist()
     return ht, {(int(ht.leaf[i]), int(ht.mid[i])) for i in cls}
@@ -304,8 +304,8 @@ def _low_score(select_root, ell):
 
 
 def _short_q(compute_q_paths, ell):
-    def stage(paths, a_mask, pool):
-        q = compute_q_paths(paths, a_mask, pool)
+    def stage(paths, pool):
+        q = compute_q_paths(paths, pool)
         d = 2 * ell
         keep = d * d - d - (len(pool.a_r) + len(pool.c_r)) * (4 * ell - 1) - 1
         assert keep >= 0
@@ -450,7 +450,7 @@ class TestOneEnforcementPoint:
         monkeypatch.setattr(
             solver,
             "compute_q_paths",
-            lambda paths, a_mask, pool: QPaths(
+            lambda paths, pool: QPaths(
                 np.array([0, 2] * 6), np.array([1, 3] * 6)
             ),
         )
@@ -466,25 +466,27 @@ class TestOneRootView:
     """Every stage after root selection reads one edge scan's 2-paths."""
 
     @pytest.mark.parametrize(
-        "make_graph, ell, added",
-        [
-            (lambda: gen_complete_digraph(5), 2, 2),
-            (shortfall_instance, 2, 0),
-        ],
-        ids=["greedy", "no_greedy"],
+        "make_graph, ell",
+        [(lambda: gen_complete_digraph(5), 2), (shortfall_instance, 2)],
+        ids=["k5_antiparallel", "shortfall"],
     )
-    def test_two_paths_into_runs_once(self, monkeypatch, make_graph, ell, added):
-        roots = []
-        two_paths_into = Digraph.two_paths_into
+    def test_root_paths_match_reference(self, monkeypatch, make_graph, ell):
+        # Both graphs are 2l-out-regular, so the working graph is g itself.
+        seen = []
+        pool = solver.strong_extender_pool
 
-        def counted(g, r, in_nbrs):
-            roots.append(r)
-            return two_paths_into(g, r, in_nbrs)
+        def spied(paths, ell, a_mask):
+            seen.append(paths)
+            return pool(paths, ell, a_mask)
 
-        monkeypatch.setattr(Digraph, "two_paths_into", counted)
-        out = find_spider(make_graph(), ell)
-        assert max(ell - out.trace.s, 0) == added
-        assert roots == [out.spider.root]
+        monkeypatch.setattr(solver, "strong_extender_pool", spied)
+        g = make_graph()
+        r = find_spider(g, ell).spider.root
+        [(in_nbrs, leaf, mid)] = seen
+        assert r not in leaf.tolist()
+        assert (np.diff(in_nbrs) > 0).all()
+        for got, want in zip((in_nbrs, leaf, mid), paths_into(g, r)):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
         "make_graph, ell, shortfall",
@@ -514,8 +516,10 @@ class TestOneRootView:
             (lambda: gen_random_out_regular(2000, 10, seed=0), 5),
             (lambda: gen_random_out_regular(2000, 10, seed=1), 5),
             (three_batch_instance, 1),
+            (lambda: gen_complete_digraph(5), 2),
+            (shortfall_instance, 2),
         ],
-        ids=["random0", "random1", "three_batches"],
+        ids=["random0", "random1", "three_batches", "greedy", "no_greedy"],
     )
     def test_one_edge_scan_per_batch_plus_one(
         self, monkeypatch, batch_sizes, make_graph, ell
