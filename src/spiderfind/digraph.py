@@ -2,15 +2,16 @@
 
 A Digraph is an immutable simple directed graph (antiparallel pairs allowed,
 no loops, no duplicate edges) over dense 0-based vertex ids.  Out-adjacency
-is the only stored adjacency, CSR-style in two numpy arrays.  In-degrees
-are derived lazily and cached; the per-edge source array `edge_src`, which
-`edges()` reads, is derived from the out-degrees on each call and never
-kept.  The one in-adjacency primitive, `edges_into(heads)`, makes one pass
-over the edge heads: an equality scan for a single head, one
-`_gather(mask, edge_dst)` of their mask for several.  It reads the tails
-of the hits from the CSR row bounds; `edges_out_of(xs)` reads the rows of
-`xs`, and `write_edge_list` repeats one token per vertex along them.  None
-of the three builds the per-edge source array.
+is the only stored adjacency, CSR-style in two numpy arrays, and nothing
+is derived lazily or cached: no in-degrees are kept, and the per-edge
+source array `edge_src`, which `edges()` reads, is derived from the
+out-degrees on each call.  The one in-adjacency primitive,
+`edges_into(heads)`, makes one pass over the edge heads: an equality scan
+for a single head, one `_gather(mask, edge_dst)` of their mask for
+several.  It reads the tails of the hits from the CSR row bounds;
+`edges_out_of(xs)` reads the rows of `xs`, and `write_edge_list` repeats
+one token per vertex along them.  None of the three builds the per-edge
+source array.
 """
 from __future__ import annotations
 
@@ -62,11 +63,18 @@ def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
 
 
 def _gather(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """table[idx] for int32 `idx`, without numpy's whole-array intp cast."""
+    """table[idx] for int32 `idx` in [0, len(table)), without numpy's
+    whole-array intp cast.
+
+    Every index is in range, so mode="clip" changes no output; it spares
+    the copy through a buffer that the default mode="raise" always makes
+    of `out`.  A 5M-edge bool-mask gather took 6.22 ms against 6.79 ms
+    (minimum of 150 interleaved calls each, 2-CPU host).
+    """
     out = np.empty(idx.shape[0], dtype=table.dtype)
     for lo in range(0, idx.shape[0], _GATHER_CHUNK):
         hi = lo + _GATHER_CHUNK
-        np.take(table, idx[lo:hi], out=out[lo:hi])
+        np.take(table, idx[lo:hi], out=out[lo:hi], mode="clip")
     return out
 
 
@@ -89,7 +97,7 @@ def _bincount(idx: np.ndarray, n: int) -> np.ndarray:
 class Digraph:
     """Immutable directed graph stored as out-adjacency CSR."""
 
-    __slots__ = ("n", "m", "_indptr", "_indices", "_in_deg")
+    __slots__ = ("n", "m", "_indptr", "_indices")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
         self.n = int(n)
@@ -100,7 +108,6 @@ class Digraph:
         indices.setflags(write=False)
         self._indptr = indptr
         self._indices = indices
-        self._in_deg = None
 
     # ---- construction ----------------------------------------------------
 
@@ -133,14 +140,6 @@ class Digraph:
     @property
     def out_degrees(self) -> np.ndarray:
         return np.diff(self._indptr)
-
-    @property
-    def in_degrees(self) -> np.ndarray:
-        if self._in_deg is None:
-            deg = _bincount(self._indices, self.n)
-            deg.setflags(write=False)
-            self._in_deg = deg
-        return self._in_deg
 
     @property
     def edge_src(self) -> np.ndarray:

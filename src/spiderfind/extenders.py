@@ -58,19 +58,19 @@ def _extension_keys(
     return _sorted_distinct(np.concatenate((forward, backward))), forward
 
 
-def strong_extender_pool(paths: tuple, ell: int, a_mask: np.ndarray) -> ExtenderPool:
+def strong_extender_pool(
+    paths: tuple, ell: int, a_r: np.ndarray, n: int
+) -> ExtenderPool:
     """Classify the strong extenders for r, the x with |O(x, r)| >= 2l - 1,
-    from `paths` = (N^-(r) ascending, leaf, mid), the 2-paths
-    leaf -> mid -> r with leaf != r.
+    from `paths` = (leaf, mid), the 2-paths leaf -> mid -> r with leaf != r,
+    over the vertices [0, n).
 
-    a_r is N^-(r) intersected with the high-in-degree class `a_mask`, a
-    boolean mask over [0, n); each of its members is automatically strong
-    (it points at r and has at least 2l-1 in-neighbors besides r).  r itself
-    is never strong: no 2-path into r starts at r, and N^-(r) excludes r.
+    a_r, ascending, holds the in-neighbors of r with in-degree at least 2l;
+    each of them is automatically strong (it points at r and has at least
+    2l-1 in-neighbors besides r).  r itself is never strong: no 2-path into
+    r starts at r, and N^-(r) excludes r.
     """
-    in_nbrs, leaf, mid = paths
-    n = a_mask.shape[0]
-    a_r = in_nbrs[a_mask[in_nbrs]]
+    leaf, mid = paths
     keys, forward = _extension_keys(n, leaf, mid)
     strong_mask = np.bincount(keys // n, minlength=n) >= 2 * ell - 1
     strong_mask[a_r] = False
@@ -107,8 +107,16 @@ def greedy_extend(pool: ExtenderPool, base: Spider, f_seq: Sequence[int]) -> Spi
     blocked = np.zeros(n, dtype=bool)
     blocked[[*spider_verts, *f_list]] = True
     free = ~blocked[cand]
-    ends = np.cumsum(np.concatenate(([0], free)))[np.cumsum(size)].tolist()
-    cand = cand[free].tolist()
+    # Position i, 0-based, follows i attachments, so one of its first i + 1
+    # free candidates is untaken: only those are converted.  seen[j] counts
+    # the free candidates before j, and bounds[i] those before run i.
+    seen = np.cumsum(np.concatenate(([0], free)))
+    bounds = seen[np.cumsum(np.concatenate(([0], size)))]
+    pos = np.arange(len(f_list))
+    rank = seen[:-1] - np.repeat(bounds[:-1], size)
+    keep = free & (rank <= np.repeat(pos, size))
+    ends = np.cumsum(np.minimum(np.diff(bounds), pos + 1)).tolist()
+    cand = cand[keep].tolist()
     ys, chosen, start = [], set(), 0
     for x, end in zip(f_list, ends):
         y = next((v for v in cand[start:end] if v not in chosen), None)

@@ -1,17 +1,17 @@
 """End-to-end spider construction with proof-inequality instrumentation.
 
-Pipeline: regularize to exact out-degree d = 2l, partition by in-degree,
-pick the first root, by in-degree, whose score d*|A_r| + |VB_r| reaches
-d^2 - d, classify strong extenders, enumerate surviving 2-paths and build
-the extension graph.  The a + c strong extenders go first: each can take a
-leg, so the coloring only has to supply the shortfall t = max(0, l - a - c).
-The extension graph is capped at (2l-1)(t-1)+1 edges (0 when t = 0) and
-edge-colored, its largest color class is lifted to a base spider, and
-strong extenders greedily extend it to l legs.  Every inequality the
-construction relies on is recorded in the trace here, and only here, and
-enforced in one loop on every run; each is a theorem, so a violation can
-only mean a bug, never bad input.  The spider is always re-verified against
-the input.
+Pipeline: regularize to exact out-degree d = 2l, order the root candidates
+by their in-degree over a prefix of the edges, pick the first candidate in
+A whose score d*|A_r| + |VB_r| reaches d^2 - d, classify strong extenders,
+enumerate surviving 2-paths and build the extension graph.  The a + c
+strong extenders go first: each can take a leg, so the coloring only has to
+supply the shortfall t = max(0, l - a - c).  The extension graph is capped
+at (2l-1)(t-1)+1 edges (0 when t = 0) and edge-colored, its largest color
+class is lifted to a base spider, and strong extenders greedily extend it
+to l legs.  Every inequality the construction relies on is recorded in the
+trace here, and only here, and enforced in one loop on every run; each is a
+theorem, so a violation can only mean a bug, never bad input.  The spider
+is always re-verified against the input.
 """
 from __future__ import annotations
 
@@ -62,6 +62,9 @@ class SolveTrace:
     shortfall: int
     q_size: int
     vb_r: int
+    # The A members score_roots scored, the root's batch included; not
+    # rendered by explain_trace, so the text reads only the spider's proof.
+    scored: int
     checks: tuple[ProofCheck, ...]
     truncated: bool
 
@@ -91,25 +94,27 @@ def find_spider(g: Digraph, ell: int, mode: str = "checked") -> SolveOutcome:
         raise ValueError("ell must be >= 1")
     d = 2 * ell
     work = extract_exact_outdegree_subgraph(g, d)
-    a_mask = partition_by_in_degree(work, ell)
-    if not a_mask.any():
+    keys = partition_by_in_degree(work, ell)
+    scores = score_roots(work, keys, ell)
+    if scores.xs.size == 0:
         raise InternalInvariantError(
             "2l-out-regular graph must contain a high-in-degree vertex"
         )
-
-    scores = score_roots(work, a_mask, ell)
     root_score = select_root(scores)
     r = root_score.x
 
     # Every later stage reads the root through its 2-paths leaf -> mid -> r,
-    # leaf != r, found once.  r is in the last batch scored, so N^-(r) comes
-    # from that scan, ascending as the edges were.
-    tail, head = scores.in_edges
-    in_nbrs = tail[head == r]
-    leaf, mid = work.edges_into(in_nbrs)
-    keep = leaf != r
-    paths = (in_nbrs, leaf[keep], mid[keep])
-    pool = strong_extender_pool(paths, ell, a_mask)
+    # leaf != r.  r is in the last batch scored, whose scans found every
+    # edge into r, tails ascending, and every edge into each of those tails,
+    # with whether the tail is in A.
+    tail, head, tail_in_a = scores.in_edges
+    into_r = head == r
+    in_r = np.zeros(work.n, dtype=bool)
+    in_r[tail[into_r]] = True
+    leaf, mid = scores.two_paths
+    keep = in_r[mid] & (leaf != r)
+    paths = (leaf[keep], mid[keep])
+    pool = strong_extender_pool(paths, ell, tail[into_r & tail_in_a], work.n)
     a = len(pool.a_r)
     c = len(pool.c_r)
     shortfall = max(0, ell - a - c)
@@ -164,6 +169,7 @@ def find_spider(g: Digraph, ell: int, mode: str = "checked") -> SolveOutcome:
         shortfall=shortfall,
         q_size=q_size,
         vb_r=root_score.vb_x,
+        scored=int(scores.xs.shape[0]),
         checks=checks,
         truncated=ht.truncated,
     )

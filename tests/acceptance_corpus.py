@@ -6,9 +6,10 @@ with identical seeds and compares result fingerprints, so the corpus lives
 in one module and the first run is cached.
 
 Run as a script, it solves the whole corpus and prints one JSON line per
-spec (spec, verdict, check names, failed checks, digest, error, and the
-trace's a, c, s and shortfall t), so two source trees compare with a plain
-`diff`:
+spec (spec, verdict, check names, failed checks, digest, error, the
+trace's a, c, s and shortfall t, and the number of A members scored to
+find the root, above 1 only when a second batch ran), so two source trees
+compare with a plain `diff`:
 
     PYTHONPATH=src python tests/acceptance_corpus.py > corpus.jsonl
 """
@@ -40,10 +41,12 @@ N_MAX = 2000
 # measured with numpy 2.4.6.  Only a change that alters spiders on purpose
 # may update it, and that change says so in CHANGES.md with the count of
 # changed specs: ROADMAP item 13 (the first root by in-degree reaching
-# d^2 - d, not the maximiser) re-pinned it, and item 10 (extenders first,
+# d^2 - d, not the maximiser) re-pinned it, item 10 (extenders first,
 # coloring only the shortfall t = max(0, l - a - c)) re-pinned it again,
-# changing 8,961 of the 10,050 specs.
-CORPUS_DIGEST = "6cccdde7f9ea9705261440df5adc7f984e77208300325146daece4e1dc77dba6"
+# changing 8,961 of the 10,050 specs, and item 18 (candidates ordered by
+# their in-degree over the first m/4 edge heads, each scored from its own
+# two scans) changed 9,390.
+CORPUS_DIGEST = "e1ec725222d93f43aaa53cfa3a06fc1cf6d9179c089460f79d0bef0cca599ea1"
 
 _cache: dict[str, tuple[list, float]] = {}
 
@@ -86,6 +89,7 @@ def run_spec(spec):
             "c": tr.c,
             "s": tr.s,
             "t": tr.shortfall,
+            "scored": tr.scored,
         }
     except Exception as exc:  # invariant violations land here
         return {
@@ -100,6 +104,7 @@ def run_spec(spec):
             "c": None,
             "s": None,
             "t": None,
+            "scored": None,
         }
 
 

@@ -22,9 +22,9 @@ def batch_sizes(monkeypatch):
     sizes = []
     score_batch = root_selection._score_batch
 
-    def spied(g, a_mask, xs):
+    def spied(g, xs, ell):
         sizes.append(len(xs))
-        return score_batch(g, a_mask, xs)
+        return score_batch(g, xs, ell)
 
     monkeypatch.setattr(root_selection, "_score_batch", spied)
     return sizes

@@ -39,15 +39,51 @@ def brute_in_neighbors(g: Digraph, v: int) -> list[int]:
     return sorted(u for u, w in g.edges() if w == v)
 
 
-def paths_into(g: Digraph, r: int):
-    """(N^-(r) ascending, leaf, mid): every 2-path leaf -> mid -> r with
-    leaf != r, in out-adjacency order of leaf -> mid, by scanning every edge.
+def in_degrees(g: Digraph) -> np.ndarray:
+    """|N^-(v)| for every v, by counting the heads of every edge."""
+    deg = np.zeros(g.n, dtype=np.int64)
+    for _, v in g.edges():
+        deg[v] += 1
+    return deg
+
+
+def a_in_nbrs(g: Digraph, r: int, ell: int) -> np.ndarray:
+    """a_r: the in-neighbors of r with in-degree at least 2l, ascending."""
+    deg = in_degrees(g)
+    return np.array(
+        [u for u in brute_in_neighbors(g, r) if deg[u] >= 2 * ell],
+        dtype=np.int32,
+    )
+
+
+def brute_scores(g: Digraph, ell: int) -> dict[int, tuple[int, int, int]]:
+    """{x: (score, a_x, vb_x)} for every x of in-degree at least 2l, from
+    in-neighbor sets: a_x counts the in-neighbors in A, and vb_x sums
+    |N^-(b) \\ {x}| over the in-neighbors b in B.
     """
-    in_nbrs = brute_in_neighbors(g, r)
-    into_r = set(in_nbrs)
+    in_nbrs = [set() for _ in range(g.n)]
+    for u, v in g.edges():
+        in_nbrs[v].add(u)
+    d = 2 * ell
+    out = {}
+    for x in range(g.n):
+        if len(in_nbrs[x]) < d:
+            continue
+        b_in = [b for b in in_nbrs[x] if len(in_nbrs[b]) < d]
+        a_x = len(in_nbrs[x]) - len(b_in)
+        vb_x = sum(len(in_nbrs[b] - {x}) for b in b_in)
+        out[x] = (d * a_x + vb_x, a_x, vb_x)
+    return out
+
+
+def paths_into(g: Digraph, r: int):
+    """(leaf, mid): every 2-path leaf -> mid -> r with leaf != r, in
+    out-adjacency order of leaf -> mid, by scanning every edge.
+    """
+    into_r = set(brute_in_neighbors(g, r))
     pairs = [(u, w) for u, w in g.edges() if w in into_r and u != r]
     leaf, mid = np.array(pairs, dtype=np.int32).reshape(-1, 2).T
-    return np.array(in_nbrs, dtype=np.int32), leaf, mid
+    return leaf, mid
 
 
 def brute_extension_set(g: Digraph, x: int, r: int) -> set[int]:

@@ -9,6 +9,7 @@ from spiderfind import (
     Digraph,
     EdgeListError,
     PreconditionOutDegree,
+    find_spider,
     gen_complete_digraph,
     gen_random_out_regular,
     gen_regular_tournament,
@@ -20,6 +21,7 @@ from reference import (
     NOT_LINE_ENDS,
     brute_in_neighbors,
     from_pairs,
+    in_degrees,
     reference_write_edge_list,
 )
 from spiderfind.digraph import (
@@ -318,7 +320,7 @@ class TestComplete:
         g = gen_complete_digraph(2)
         assert sorted(g.edges()) == [(0, 1), (1, 0)]
         assert all(d == 1 for d in g.out_degrees)
-        assert all(d == 1 for d in g.in_degrees)
+        assert all(d == 1 for d in in_degrees(g))
 
     def test_five_vertices(self):
         g = gen_complete_digraph(5)
@@ -393,13 +395,13 @@ class TestRegularTournament:
         g = gen_regular_tournament(3, seed=0)
         assert g.m == 3
         assert all(d == 1 for d in g.out_degrees)
-        assert all(d == 1 for d in g.in_degrees)
+        assert all(d == 1 for d in in_degrees(g))
 
     def test_seven_vertices(self):
         g = gen_regular_tournament(7, seed=11)
         assert g.m == 21
         assert all(d == 3 for d in g.out_degrees)
-        assert all(d == 3 for d in g.in_degrees)
+        assert all(d == 3 for d in in_degrees(g))
 
     def test_exactly_one_orientation_per_pair(self):
         g = gen_regular_tournament(9, seed=2)
@@ -430,10 +432,10 @@ def test_equal_graphs_hash_equal_and_key_a_dict():
 
 def test_no_per_edge_array_is_kept():
     # The CSR indices are the one per-edge array a graph keeps; edge_src is
-    # derived on each call, also after edges() and in_degrees have run.
+    # derived on each call, also after edges() and a solve have run.
     g = gen_random_out_regular(50, 4, seed=0)
     list(g.edges())
-    g.in_degrees
+    find_spider(g, 2)
     kept = [name for name in Digraph.__slots__ if np.size(getattr(g, name)) == g.m]
     assert kept == ["_indices"]
 
@@ -508,13 +510,13 @@ class TestDegrees:
     def test_degree_profile(self):
         g = parse_edge_list("3 2\n0 1\n2 1\n")
         assert g.out_degrees.tolist() == [1, 0, 1]
-        assert g.in_degrees.tolist() == [0, 2, 0]
+        assert in_degrees(g).tolist() == [0, 2, 0]
         assert min_out_degree(g) == 0
 
     @given(digraphs())
     def test_degree_sums(self, g):
         assert int(g.out_degrees.sum()) == g.m
-        assert int(g.in_degrees.sum()) == g.m
+        assert int(in_degrees(g).sum()) == g.m
 
 
 def assert_one_head_scan(g: Digraph, v: int, expected: list) -> None:
@@ -585,7 +587,7 @@ class TestOneHeadScan:
     def test_every_vertex_over_empty_rows(self, name):
         n, pairs = _EMPTY_ROW_GRAPHS[name]
         g = from_pairs(n, pairs)
-        assert (g.in_degrees == 0).any()
+        assert (in_degrees(g) == 0).any()
         for v in range(n):
             assert_one_head_scan(g, v, [(u, w) for u, w in pairs if w == v])
 
@@ -599,7 +601,7 @@ class TestOneHeadScan:
         assert g.m >= 3 * _GATHER_CHUNK
         # The edges into each vertex, in edge order, from one stable sort.
         e = np.argsort(g.edge_dst, kind="stable")
-        into = np.split(e, np.cumsum(g.in_degrees)[:-1])
+        into = np.split(e, np.cumsum(in_degrees(g))[:-1])
         src = g.edge_src
         for v in range(g.n):
             assert_one_head_scan(g, v, [(int(u), v) for u in src[into[v]]])
@@ -643,6 +645,17 @@ class TestGather:
         out = _gather(table, idx)
         assert out.dtype == table.dtype
         assert np.array_equal(out, table[idx])
+
+    def test_extreme_ids_at_the_slice_boundary(self):
+        # The lowest and highest ids on both sides of every slice boundary
+        # read their own entries; no in-range index is clipped.
+        n = 1000
+        table = np.arange(n, dtype=np.int64) * 7 + 3
+        idx = np.full(3 * _C, n // 2, dtype=np.int32)
+        for edge in (_C, 2 * _C):
+            idx[edge - 2 : edge + 2] = [0, n - 1, 0, n - 1]
+        idx[0], idx[-1] = n - 1, 0
+        assert np.array_equal(_gather(table, idx), table[idx])
 
 
 class TestBincount:

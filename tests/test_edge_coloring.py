@@ -18,7 +18,7 @@ from spiderfind.root_selection import (
     select_root,
     compute_q_paths,
 )
-from reference import check_proper_coloring, make_h, paths_into
+from reference import a_in_nbrs, check_proper_coloring, make_h, paths_into
 from strategies import out_regular_digraphs
 
 
@@ -241,9 +241,12 @@ class TestPayloadSoundness:
     @settings(max_examples=40)
     def test_class_payloads_form_disjoint_legs(self, g_ell):
         g, ell = g_ell
-        a_mask = partition_by_in_degree(g, ell)
-        r = int(select_root(score_roots(g, a_mask, ell)).x)
-        pool = strong_extender_pool(paths_into(g, r), ell, a_mask)
+        r = int(
+            select_root(score_roots(g, partition_by_in_degree(g, ell), ell)).x
+        )
+        pool = strong_extender_pool(
+            paths_into(g, r), ell, a_in_nbrs(g, r, ell), g.n
+        )
         q = compute_q_paths(paths_into(g, r), pool)
         h = build_extension_graph(q)
         ht = truncate_for_coloring(h, ell, ell)

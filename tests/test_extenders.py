@@ -14,11 +14,12 @@ from spiderfind.extenders import (
     greedy_extend,
     strong_extender_pool,
 )
-from spiderfind.root_selection import partition_by_in_degree
 from reference import (
+    a_in_nbrs,
     brute_extension_set,
     brute_greedy_extend,
     from_pairs,
+    in_degrees,
     paths_into,
 )
 from strategies import digraphs, out_regular_digraphs
@@ -28,13 +29,13 @@ from strategies import digraphs, out_regular_digraphs
 CHAIN = from_pairs(4, [(1, 2), (2, 0), (3, 1), (1, 0)])
 
 
-def no_a(g):
-    return np.zeros(g.n, dtype=bool)
+# An empty a_r: the pool then finds every strong extender through c_r.
+NO_A = np.empty(0, dtype=np.int32)
 
 
 def pool_at(g, r):
     """A pool for root r; `greedy_extend` reads only its O(x, r) keys."""
-    return strong_extender_pool(paths_into(g, r), 1, no_a(g))
+    return strong_extender_pool(paths_into(g, r), 1, NO_A, g.n)
 
 
 def assert_pool_shape(pool):
@@ -43,8 +44,8 @@ def assert_pool_shape(pool):
     assert np.intersect1d(pool.a_r, pool.c_r).size == 0
 
 
-def strong_set(g, r, ell, a_mask):
-    pool = strong_extender_pool(paths_into(g, r), ell, a_mask)
+def strong_set(g, r, ell, a_r):
+    pool = strong_extender_pool(paths_into(g, r), ell, a_r, g.n)
     assert_pool_shape(pool)
     return set(pool.a_r.tolist()) | set(pool.c_r.tolist())
 
@@ -67,14 +68,13 @@ class TestExtensionSet:
     def test_matches_bruteforce_everywhere(self, g, ell):
         # Any graph and every root: a_r members are strong by in-degree
         # alone, so the pool equals the brute-force strong set.
-        a_mask = g.in_degrees >= 2 * ell
         for r in range(g.n):
             expected = {
                 x
                 for x in range(g.n)
                 if x != r and len(brute_extension_set(g, x, r)) >= 2 * ell - 1
             }
-            assert strong_set(g, r, ell, a_mask) == expected
+            assert strong_set(g, r, ell, a_in_nbrs(g, r, ell)) == expected
 
 
 class TestExtensionKeys:
@@ -89,7 +89,7 @@ class TestExtensionKeys:
     def test_keys_are_the_extension_sets(self, g):
         edges = set(g.edges())
         for r in range(g.n):
-            _, leaf, mid = paths_into(g, r)
+            leaf, mid = paths_into(g, r)
             keys, forward = _extension_keys(g.n, leaf, mid)
             assert np.all(np.diff(keys) > 0) and np.all(np.diff(forward) > 0)
             xs, ys = (keys // g.n).tolist(), (keys % g.n).tolist()
@@ -105,44 +105,41 @@ class TestExtensionKeys:
 class TestIExtender:
     def test_chain_examples(self):
         # |O(1, 0)| = 2: strong at threshold 2l-1 = 1, not at 3.
-        assert 1 in strong_set(CHAIN, 0, 1, no_a(CHAIN))
-        assert 1 not in strong_set(CHAIN, 0, 2, no_a(CHAIN))
+        assert 1 in strong_set(CHAIN, 0, 1, NO_A)
+        assert 1 not in strong_set(CHAIN, 0, 2, NO_A)
 
     @given(digraphs(min_n=2, max_n=7), st.integers(1, 3))
     def test_monotone(self, g, ell):
         for r in range(g.n):
-            assert strong_set(g, r, ell + 1, no_a(g)) <= strong_set(
-                g, r, ell, no_a(g)
-            )
+            assert strong_set(g, r, ell + 1, NO_A) <= strong_set(g, r, ell, NO_A)
 
 
 class TestStrongExtenderPool:
     def test_k5(self):
         g = gen_complete_digraph(5)
-        pool = strong_extender_pool(
-            paths_into(g, 0), 2, partition_by_in_degree(g, 2)
-        )
+        pool = strong_extender_pool(paths_into(g, 0), 2, a_in_nbrs(g, 0, 2), 5)
         assert pool.a_r.tolist() == [1, 2, 3, 4]
         assert pool.c_r.tolist() == []
 
     def test_second_clause_membership(self):
         g = from_pairs(3, [(1, 2), (2, 0)])
-        pool = strong_extender_pool(paths_into(g, 0), 1, no_a(g))
+        pool = strong_extender_pool(paths_into(g, 0), 1, NO_A, g.n)
         assert pool.a_r.tolist() == []
         assert pool.c_r.tolist() == [1, 2]
 
     def test_isolated_root(self):
         g = from_pairs(3, [(1, 2)])
-        pool = strong_extender_pool(paths_into(g, 0), 1, no_a(g))
+        pool = strong_extender_pool(paths_into(g, 0), 1, NO_A, g.n)
         assert pool.a_r.size == 0 and pool.c_r.size == 0
 
     @given(out_regular_digraphs(max_ell=3, max_n=22))
     @settings(max_examples=40)
     def test_pool_is_exactly_the_strong_extenders(self, g_ell):
         g, ell = g_ell
-        a_mask = partition_by_in_degree(g, ell)
         r = 0
-        pool = strong_extender_pool(paths_into(g, r), ell, a_mask)
+        pool = strong_extender_pool(
+            paths_into(g, r), ell, a_in_nbrs(g, r, ell), g.n
+        )
         assert_pool_shape(pool)
         pooled = set(pool.a_r.tolist()) | set(pool.c_r.tolist())
         thr = 2 * ell - 1
@@ -155,9 +152,9 @@ class TestStrongExtenderPool:
         edges = set(g.edges())
         for x in pool.a_r.tolist():
             assert (x, r) in edges
-            assert a_mask[x]
+            assert in_degrees(g)[x] >= 2 * ell
         # The pool carries the O(x, r) keys it classified from.
-        keys, forward = _extension_keys(g.n, *paths_into(g, r)[1:])
+        keys, forward = _extension_keys(g.n, *paths_into(g, r))
         assert pool.n == g.n
         assert np.array_equal(pool.keys, keys)
         assert np.array_equal(pool.forward, forward)
@@ -232,7 +229,7 @@ class TestGreedyExtend:
         g, ell = g_ell
         r = 0
         pool = strong_extender_pool(
-            paths_into(g, r), ell, partition_by_in_degree(g, ell)
+            paths_into(g, r), ell, a_in_nbrs(g, r, ell), g.n
         )
         f_seq = np.concatenate((pool.a_r, pool.c_r))[:ell]
         if len(f_seq) < ell:

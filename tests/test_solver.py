@@ -29,8 +29,8 @@ from spiderfind.edge_coloring import (
     vizing_color,
 )
 from spiderfind.extenders import strong_extender_pool
-from spiderfind.root_selection import QPaths, compute_q_paths, partition_by_in_degree
-from reference import from_pairs, paths_into
+from spiderfind.root_selection import QPaths, compute_q_paths
+from reference import a_in_nbrs, from_pairs, in_degrees, paths_into
 from strategies import min_out_degree_digraphs, out_regular_digraphs
 
 TRIANGLE = parse_edge_list("3 3\n0 1\n1 2\n2 0\n")
@@ -41,7 +41,8 @@ class TestFindSpider:
         g = gen_complete_digraph(3)
         out = find_spider(g, 1)
         assert verify_spider(g, out.spider, 1) is None
-        assert out.spider.root == 0
+        # The first m/4 = 1 edge, 0 -> 1, makes 1 the first candidate.
+        assert out.spider.root == 1
 
     @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5, 8])
     def test_tight_complete_digraph(self, ell):
@@ -181,28 +182,28 @@ class TestAntiparallelPaths:
 
 
 def few_extenders_instance() -> Digraph:
-    """6-out-regular graph whose chosen root 5 has a + c = 2 < l = 3.
+    """6-out-regular graph whose chosen root 1 has a + c = 2 < l = 3.
 
     That makes the |Q_r| bound positive, 30 - 2 * 11 = 8 against
-    |Q_r| = 19.  On random regular graphs the first candidate by in-degree
-    almost always has a >= l, which rules this out.  Found by local search
-    over edge rewirings.
+    |Q_r| = 17.  On random regular graphs the first candidate almost always
+    has a >= l, which rules this out.  Found by local search over edge
+    rewirings.
     """
     rows = [
-        [1, 6, 7, 8, 11, 12], [2, 5, 9, 10, 11, 14], [1, 5, 8, 9, 10, 12],
-        [0, 4, 8, 9, 12, 13], [0, 1, 3, 5, 12, 14], [1, 2, 6, 7, 12, 13],
-        [0, 1, 7, 9, 13, 14], [1, 5, 10, 11, 12, 13], [0, 2, 5, 6, 9, 12],
-        [0, 3, 6, 7, 10, 11], [1, 2, 5, 6, 9, 12], [0, 1, 3, 5, 7, 9],
-        [2, 3, 6, 7, 8, 14], [0, 4, 5, 6, 7, 9], [0, 4, 5, 6, 9, 12],
+        [3, 4, 7, 9, 10, 14], [2, 3, 4, 5, 6, 8], [1, 3, 8, 11, 12, 13],
+        [0, 1, 2, 6, 9, 13], [5, 6, 11, 12, 13, 14], [0, 1, 7, 9, 12, 13],
+        [4, 7, 9, 12, 13, 14], [0, 1, 4, 6, 9, 12], [0, 1, 2, 6, 9, 10],
+        [0, 3, 5, 11, 13, 14], [1, 4, 7, 8, 9, 14], [1, 2, 4, 7, 12, 14],
+        [2, 6, 7, 8, 11, 13], [4, 5, 7, 9, 10, 11], [3, 6, 8, 11, 12, 13],
     ]
     return from_pairs(15, [(v, u) for v, row in enumerate(rows) for u in row])
 
 
 def color_class(g: Digraph, r: int, ell: int):
     """H_t at root r with t = l, and its largest color class as legs."""
-    a_mask = partition_by_in_degree(g, ell)
     paths = paths_into(g, r)
-    q = compute_q_paths(paths, strong_extender_pool(paths, ell, a_mask))
+    pool = strong_extender_pool(paths, ell, a_in_nbrs(g, r, ell), g.n)
+    q = compute_q_paths(paths, pool)
     ht = truncate_for_coloring(build_extension_graph(q), ell, ell)
     cls = largest_color_class(vizing_color(ht)).tolist()
     return ht, {(int(ht.leaf[i]), int(ht.mid[i])) for i in cls}
@@ -213,8 +214,8 @@ class TestFewExtenders:
         g = few_extenders_instance()
         out = find_spider(g, 3)
         assert verify_spider(g, out.spider, 3) is None
-        assert out.trace.root == 5
-        assert out.trace.a + out.trace.c == 2 and out.trace.q_size == 19
+        assert out.trace.root == 1
+        assert out.trace.a + out.trace.c == 2 and out.trace.q_size == 17
 
 
 def shortfall_instance() -> Digraph:
@@ -251,17 +252,17 @@ class TestBindingTerm:
     def test_c_extender_supplies_the_last_leg(self):
         # A corpus spec with a = 18 < l <= a + c: t = 0, and the extenders
         # are a_r followed by the first vertex of c_r.
-        g = gen_random_out_regular(480, 38, seed=357355202654319194)
+        g = gen_random_out_regular(480, 38, seed=3575540632687644267)
         out = find_spider(g, 19)
         assert verify_spider(g, out.spider, 19) is None
-        assert (out.trace.root, out.trace.a, out.trace.c) == (36, 18, 20)
+        assert (out.trace.root, out.trace.a, out.trace.c) == (222, 18, 16)
         assert out.trace.shortfall == 0 and out.trace.s == 0
         assert (
             "shortfall t = max(0, l - a - c) = 0: coloring instance truncated "
             "to the 0 edge cap\n" in explain_trace(out.trace)
         )
         pool = strong_extender_pool(
-            paths_into(g, 36), 19, partition_by_in_degree(g, 19)
+            paths_into(g, 222), 19, a_in_nbrs(g, 222, 19), g.n
         )
         vertices = out.spider.vertices()
         assert set(pool.a_r.tolist()) <= vertices
@@ -269,34 +270,67 @@ class TestBindingTerm:
 
 
 def three_batch_instance() -> Digraph:
-    """2-out-regular graph whose first three root candidates score 0 < 2.
+    """2-out-regular graph whose root is in the third batch of candidates.
 
-    The hubs 0, 1, 2 have in-degree 3, the highest, and are fed only by the
-    sources 3..7 of in-degree 0, so they have no A in-neighbor and no 2-path
-    through B.  The hubs point into 8..14, which also have in-degree 3 and
-    an in-neighbor in A, so the third batch, 8..11, holds the root 8.
+    The first m/4 = 7 edges hit 0, 1, 6, 9, 10, 11 and 12 once each, so
+    they are the candidates, by id.  0 scores 0 < 2: its in-neighbors 3
+    and 6 are in B, 3 with no in-neighbor and 6 with only 0.  In the
+    second batch 6 is in B, and 1 scores 1: its in-neighbors 2, 5 and 6
+    are in B, and only 6 has an in-neighbor other than 1.  In the third
+    batch 9 has the in-neighbor 0 in A and scores 2, the root.
     """
     rows = [
-        [8, 9], [10, 11], [12, 13], [0, 1], [0, 2], [1, 2], [0, 1], [2, 8],
-        [9, 14], [10, 14], [11, 14], [12, 13], [13, 9], [8, 10], [11, 12],
+        [6, 9], [10, 11], [12, 1], [0, 9], [12, 10], [14, 1], [0, 1], [10, 14],
+        [14, 12], [10, 12], [11, 7], [12, 13], [11, 10], [14, 8], [11, 12],
     ]
     return from_pairs(15, [(v, u) for v, row in enumerate(rows) for u in row])
 
 
+def decoy_prefix_instance(k: int) -> Digraph:
+    """2-out-regular graph on 4k vertices whose first m/4 edges all point
+    into B.
+
+    The k sources 0..k-1 own the first m/4 = 2k edges, one into each decoy
+    k..3k-1, and no other edge enters a decoy: their in-degree 1 puts them
+    in B, yet they lead the candidate order.  Every other edge goes into
+    T = {0..k-1} and {3k..4k-1}, whose members have in-degree 3 on average.
+    """
+    targets = [*range(k), *range(3 * k, 4 * k)]
+    pairs = [(v, k + 2 * v + i) for v in range(k) for i in range(2)]
+    for j, v in enumerate(range(k, 4 * k)):
+        for step in (0, 3):
+            u = targets[(j + step) % (2 * k)]
+            pairs.append((v, targets[(j + 5) % (2 * k)] if u == v else u))
+    return from_pairs(4 * k, pairs)
+
+
 class TestRootBatches:
-    """The root is the first candidate, by in-degree, that reaches d^2 - d."""
+    """The root is the first candidate in A that reaches d^2 - d."""
 
     def test_later_batch_runs_inside_find_spider(self, batch_sizes):
         g = three_batch_instance()
         out = find_spider(g, 1)
         assert verify_spider(g, out.spider, 1) is None
         assert all(c.passed for c in out.trace.checks)
-        assert out.trace.root == 8
+        assert out.trace.root == 9
         assert batch_sizes == [1, 2, 4]
-        a_size = int((g.in_degrees >= 2).sum())
-        assert a_size == 10
-        # At most floor(log2 |A|) + 1 batches.
-        assert len(batch_sizes) <= a_size.bit_length()
+        # 0 and 1, then 9, 10, 11 and 12.
+        assert out.trace.scored == 6
+        # At most floor(log2 n) + 1 batches.
+        assert len(batch_sizes) <= g.n.bit_length()
+
+    @pytest.mark.parametrize("k", [4, 50])
+    def test_prefix_into_b_still_roots_in_a(self, batch_sizes, k):
+        # Every decoy is scanned and passed over; the root is in A.
+        g = decoy_prefix_instance(k)
+        deg = in_degrees(g)
+        assert all(deg[v] < 2 for _, v in list(g.edges())[: g.m // 4])
+        out = find_spider(g, 1)
+        assert verify_spider(g, out.spider, 1) is None
+        assert deg[out.trace.root] >= 2
+        assert out.trace.root not in range(k, 3 * k)
+        assert sum(batch_sizes) > 2 * k
+        assert len(batch_sizes) <= g.n.bit_length()
 
 
 def _low_score(select_root, ell):
@@ -423,10 +457,11 @@ class TestOneEnforcementPoint:
             find_spider(g, ell)
 
     def test_empty_a_class_raises(self, monkeypatch):
+        # No candidate, so none shows in-degree 2l on its own scan.
         monkeypatch.setattr(
             solver,
             "partition_by_in_degree",
-            lambda g, ell: np.zeros(g.n, dtype=bool),
+            lambda g, ell: np.empty(0, dtype=np.int64),
         )
         with pytest.raises(
             InternalInvariantError,
@@ -467,26 +502,33 @@ class TestOneRootView:
 
     @pytest.mark.parametrize(
         "make_graph, ell",
-        [(lambda: gen_complete_digraph(5), 2), (shortfall_instance, 2)],
-        ids=["k5_antiparallel", "shortfall"],
+        [
+            (lambda: gen_complete_digraph(5), 2),
+            (shortfall_instance, 2),
+            (three_batch_instance, 1),
+        ],
+        ids=["k5_antiparallel", "shortfall", "three_batches"],
     )
     def test_root_paths_match_reference(self, monkeypatch, make_graph, ell):
-        # Both graphs are 2l-out-regular, so the working graph is g itself.
+        # Every graph is 2l-out-regular, so the working graph is g itself.
+        # The root's batch in three_batch_instance has four members, whose
+        # in-neighbors' 2-paths the root must leave out.
         seen = []
         pool = solver.strong_extender_pool
 
-        def spied(paths, ell, a_mask):
-            seen.append(paths)
-            return pool(paths, ell, a_mask)
+        def spied(paths, ell, a_r, n):
+            seen.append((paths, a_r, n))
+            return pool(paths, ell, a_r, n)
 
         monkeypatch.setattr(solver, "strong_extender_pool", spied)
         g = make_graph()
         r = find_spider(g, ell).spider.root
-        [(in_nbrs, leaf, mid)] = seen
+        [((leaf, mid), a_r, n)] = seen
+        assert n == g.n
         assert r not in leaf.tolist()
-        assert (np.diff(in_nbrs) > 0).all()
-        for got, want in zip((in_nbrs, leaf, mid), paths_into(g, r)):
+        for got, want in zip((leaf, mid), paths_into(g, r)):
             assert np.array_equal(got, want)
+        assert np.array_equal(a_r, a_in_nbrs(g, r, ell))
 
     @pytest.mark.parametrize(
         "make_graph, ell, shortfall",
@@ -525,9 +567,11 @@ class TestOneRootView:
         self, monkeypatch, batch_sizes, make_graph, ell
     ):
         """A solve reads tails from the CSR, never the per-edge source
-        array, and makes one pass over all m edge heads per scoring batch
-        and one for the root's 2-paths: an equality scan for a one-vertex
-        batch, and a mask gather for a larger batch and for N^-(r).
+        array, and makes two passes over all m edge heads per scoring batch
+        and none after: the pass into the batch, an equality scan for a
+        one-vertex batch and a mask gather otherwise, and a gather into the
+        in-neighbors of its members, which are the root's 2-paths in the
+        last batch.
         """
         g = make_graph()
         assert (g.out_degrees == 2 * ell).all()
@@ -559,8 +603,10 @@ class TestOneRootView:
         assert verify_spider(g, out.spider, ell) is None
         assert batch_sizes
         # A one-vertex batch, the first one included, makes no gather.
-        per_batch = ["scan" if size == 1 else "gather" for size in batch_sizes]
-        assert scans == per_batch + ["gather"]
+        per_batch = [
+            ["scan" if size == 1 else "gather", "gather"] for size in batch_sizes
+        ]
+        assert scans == sum(per_batch, [])
 
 
 class TestExplainTrace:
