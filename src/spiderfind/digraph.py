@@ -16,6 +16,7 @@ source array.
 from __future__ import annotations
 
 import io
+import math
 from typing import Iterator
 
 import numpy as np
@@ -41,7 +42,10 @@ _MAX_VERTICES = 2**31
 _CANONICAL_DIGITS = 10
 
 # Rejection sampling is used while the expected per-row collision count stays
-# small; denser rows switch to a blocked Fisher-Yates shuffle.
+# small; denser rows switch to a blocked Fisher-Yates shuffle over pools of
+# about this many cells.  A block's rows draw their steps together, so the
+# block size also fixes the order in which the draws fill the rows: change
+# it and every dense graph changes.
 _FY_BLOCK_CELLS = 4_000_000
 
 # Indices per `_gather` slice (and the least per `_bincount` slice), whose
@@ -386,41 +390,84 @@ def gen_complete_digraph(n: int) -> Digraph:
     return Digraph(n, indptr, base.ravel())
 
 
-def _rows_have_duplicates(mat: np.ndarray) -> np.ndarray:
-    srt = np.sort(mat, axis=1)
-    return (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+def _duplicate_rows(mat: np.ndarray) -> np.ndarray:
+    """Whether each row of `mat` repeats a value.
+
+    One row sort and one compare of neighbours in the flattened sort; pair
+    k compares cells k and k + 1, which lie in different rows when the
+    row length divides k + 1, so those pairs are masked.
+    """
+    rows, d = mat.shape
+    d = max(1, d)
+    srt = np.sort(mat, axis=1).ravel()
+    dup = srt[1:] == srt[:-1]
+    dup[d - 1 :: d] = False
+    flags = np.zeros(rows, dtype=bool)
+    flags[np.flatnonzero(dup) // d] = True
+    return flags
 
 
 def _sample_rows_rejection(rng, rows, n_choices, d):
-    """rows x d matrix, each row d distinct draws from [0, n_choices)."""
+    """rows x d matrix, each row d distinct draws from [0, n_choices).
+
+    Each round redraws the rows that still repeat a value, in ascending
+    order, until none is left.  Int32 draws take their 32-bit words from
+    the bit generator, which keeps the spare half of a 64-bit word between
+    calls, so how the draws are cut into calls changes no value.  The
+    retry rows therefore come from bulk draws, handed out in stream order;
+    rows drawn past the last round are never read.
+    """
     mat = rng.integers(0, n_choices, size=(rows, d), dtype=np.int32)
-    bad = _rows_have_duplicates(mat)
-    while bad.any():
-        k = int(bad.sum())
-        redraw = rng.integers(0, n_choices, size=(k, d), dtype=np.int32)
-        mat[bad] = redraw
-        idx = np.flatnonzero(bad)
-        bad[idx] = _rows_have_duplicates(redraw)
+    bad = np.flatnonzero(_duplicate_rows(mat))
+    # A bulk draw covers the retries that the first draw's share of clean
+    # rows predicts, and never holds more rows than `mat`.
+    per_clean = rows / max(1, rows - bad.size)
+    spare = mat[:0]
+    spare_bad = np.zeros(0, dtype=bool)
+    while bad.size:
+        k = bad.size
+        if spare.shape[0] < k:
+            more = min(rows, math.ceil(k * per_clean))
+            fresh = rng.integers(0, n_choices, size=(more, d), dtype=np.int32)
+            spare = np.concatenate((spare, fresh))
+            spare_bad = np.concatenate((spare_bad, _duplicate_rows(fresh)))
+        mat[bad] = spare[:k]
+        bad = bad[spare_bad[:k]]
+        spare, spare_bad = spare[k:], spare_bad[k:]
     return mat
 
 
 def _sample_rows_fisher_yates(rng, rows, n_choices, d):
-    """Dense case: partial Fisher-Yates per row, blocked to bound memory."""
+    """Dense case: partial Fisher-Yates per row, blocked to bound memory.
+
+    A block of b rows draws all its swap targets in one call, step i's b
+    of them from [i, n_choices): the values d calls of one bound each
+    would give.  The pool is position-major, one column per row of the
+    block, so step i swaps one contiguous pool row with one cell per
+    column.  Later blocks reuse the pool once the cells the last block
+    moved hold their positions again.
+    """
     out = np.empty((rows, d), dtype=np.int32)
     dtype = np.int16 if n_choices <= np.iinfo(np.int16).max else np.int32
-    block = max(1, _FY_BLOCK_CELLS // max(1, n_choices))
+    block = min(rows, max(1, _FY_BLOCK_CELLS // max(1, n_choices)))
+    pool = np.empty((n_choices, block), dtype=dtype)
+    pool[:] = np.arange(n_choices, dtype=dtype)[:, None]
+    cells = pool.reshape(-1)
+    steps = np.arange(d)[:, None]
     for lo in range(0, rows, block):
-        hi = min(rows, lo + block)
-        b = hi - lo
-        pool = np.empty((b, n_choices), dtype=dtype)
-        pool[:] = np.arange(n_choices, dtype=dtype)
-        rix = np.arange(b)
-        for i in range(d):
-            j = rng.integers(i, n_choices, size=b)
-            tmp = pool[rix, j].copy()
-            pool[rix, j] = pool[:, i]
-            pool[:, i] = tmp
-        out[lo:hi] = pool[:, :d]
+        if lo:
+            cells[target] = target // block
+            pool[:d] = steps
+        b = min(block, rows - lo)
+        # The flat pool index of each step's target in each column.
+        target = rng.integers(steps, n_choices, size=(d, b))
+        target *= block
+        target += np.arange(b)
+        for i, t in enumerate(target):
+            drawn = cells[t]
+            cells[t] = pool[i, :b]
+            pool[i, :b] = drawn
+        out[lo : lo + b] = pool[:d, :b].T
     return out
 
 

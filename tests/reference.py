@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from spiderfind import Digraph, ViolationKind, ViolationReport
+from spiderfind import Digraph, ViolationKind, ViolationReport, gen_complete_digraph
+from spiderfind.digraph import _FY_BLOCK_CELLS
 from spiderfind.edge_coloring import ExtensionGraph
 
 
@@ -224,3 +225,43 @@ def reference_write_edge_list(g: Digraph) -> str:
     out = [f"{g.n} {g.m}"]
     out.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(out) + "\n"
+
+
+def reference_gen_random_out_regular(n: int, d: int, seed: int) -> Digraph:
+    """gen_random_out_regular with one `rng.integers` call per retry round
+    and per Fisher-Yates step, a row-major pool and a strided duplicate
+    compare.  It keeps the regimes, the block size and the draw order, so
+    it gives the same graph for every valid (n, d, seed).
+    """
+    if d == n - 1:
+        return gen_complete_digraph(n)
+    rng = np.random.default_rng(seed)
+    n_choices = n - 1
+
+    def repeats(mat):
+        srt = np.sort(mat, axis=1)
+        return (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+
+    if d * d <= 3 * n_choices:
+        mat = rng.integers(0, n_choices, size=(n, d), dtype=np.int32)
+        bad = repeats(mat)
+        while bad.any():
+            idx = np.flatnonzero(bad)
+            redraw = rng.integers(0, n_choices, size=(idx.size, d), dtype=np.int32)
+            mat[idx] = redraw
+            bad[idx] = repeats(redraw)
+    else:
+        mat = np.empty((n, d), dtype=np.int32)
+        block = max(1, _FY_BLOCK_CELLS // n_choices)
+        for lo in range(0, n, block):
+            b = min(n, lo + block) - lo
+            pool = np.tile(np.arange(n_choices, dtype=np.int32), (b, 1))
+            rix = np.arange(b)
+            for i in range(d):
+                j = rng.integers(i, n_choices, size=b)
+                tmp = pool[rix, j].copy()
+                pool[rix, j] = pool[:, i]
+                pool[:, i] = tmp
+            mat[lo : lo + b] = pool[:, :d]
+    mat += mat >= np.arange(n, dtype=np.int32)[:, None]
+    return Digraph(n, np.arange(n + 1, dtype=np.int64) * d, mat.ravel())

@@ -1,8 +1,10 @@
+import hashlib
+import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spiderfind import (
@@ -22,11 +24,13 @@ from reference import (
     brute_in_neighbors,
     from_pairs,
     in_degrees,
+    reference_gen_random_out_regular,
     reference_write_edge_list,
 )
 from spiderfind.digraph import (
     _GATHER_CHUNK,
     _bincount,
+    _duplicate_rows,
     _gather,
     _parse_lines,
     extract_exact_outdegree_subgraph,
@@ -340,6 +344,18 @@ class TestComplete:
         assert_mirror_consistent(gen_regular_tournament(7, seed=3))
 
 
+@st.composite
+def out_regular_specs(draw):
+    """(n, d, seed) with n <= 300; d leans to 0, 1, n - 2, n - 1 and the
+    last rejection and first dense out-degree, d^2 <= 3(n - 1) < (d + 1)^2.
+    """
+    n = draw(st.integers(1, 300))
+    edge = math.isqrt(3 * (n - 1))
+    special = [d for d in (0, 1, n - 2, n - 1, edge, edge + 1) if 0 <= d < n]
+    d = draw(st.sampled_from(special) | st.integers(0, n - 1))
+    return n, d, draw(st.integers(0, 2**64 - 1))
+
+
 class TestRandomOutRegular:
     def test_forced_complete(self):
         assert gen_random_out_regular(5, 4, seed=9) == gen_complete_digraph(5)
@@ -370,6 +386,63 @@ class TestRandomOutRegular:
     def test_d_too_large(self):
         with pytest.raises(ValueError):
             gen_random_out_regular(3, 3, seed=0)
+
+    @given(out_regular_specs())
+    @example((1, 0, 0))
+    @example((300, 0, 1))
+    @example((300, 1, 2))
+    @example((13, 6, 5))
+    @example((13, 7, 5))
+    @example((300, 298, 3))
+    def test_matches_reference(self, spec):
+        assert gen_random_out_regular(*spec) == reference_gen_random_out_regular(*spec)
+
+    def test_two_block_dense_matches_reference(self):
+        # 2,499 choices per row: blocks of 1,600 and 900 rows.
+        assert gen_random_out_regular(2500, 100, 4) == reference_gen_random_out_regular(
+            2500, 100, 4
+        )
+
+
+# sha256 of edge_dst.tobytes().  The acceptance corpus stops at n = 2,000,
+# so these pin large-n rejection, multi-block dense and int32-pool draws.
+@pytest.mark.parametrize(
+    "n, d, seed, digest",
+    [
+        (100000, 50, 1, "1390f849cb3f057722c4a80f7ed7d3115d4c60492c731f3aff64978b9043cd52"),
+        (20000, 54, 7, "59b3d21dfae08d0620e066ca74497391a072ee52c3a178ca5fbe9067c8be706a"),
+        (2000, 100, 3, "5450faea42619b48fc79089df088d6feba5dbdecfbe852b09919942e57abddbf"),
+        (32769, 315, 4, "f2311189ab1b3c9760e5dcde8123728ac1952d65c722cfbda536007f18205801"),
+    ],
+)
+def test_random_out_regular_stream_pinned(n, d, seed, digest):
+    g = gen_random_out_regular(n, d, seed)
+    assert hashlib.sha256(g.edge_dst.tobytes()).hexdigest() == digest
+
+
+class TestDuplicateRows:
+    def test_rows_with_a_repeat_flagged(self):
+        mat = np.array([[1, 2, 3], [4, 4, 5], [6, 7, 6], [9, 9, 9]], dtype=np.int32)
+        assert _duplicate_rows(mat).tolist() == [False, True, True, True]
+
+    def test_value_shared_across_a_row_end_is_clean(self):
+        # Sorted and flattened, row 0 ends in 3 and row 1 starts with 3.
+        mat = np.array([[3, 1], [5, 3]], dtype=np.int32)
+        assert not _duplicate_rows(mat).any()
+
+    def test_single_column_never_flagged(self):
+        assert not _duplicate_rows(np.full((4, 1), 7, dtype=np.int32)).any()
+
+    def test_zero_columns(self):
+        # The suite turns warnings into errors.
+        assert _duplicate_rows(np.zeros((5, 0), dtype=np.int32)).tolist() == [False] * 5
+
+    @given(st.integers(0, 6), st.integers(0, 6), st.data())
+    def test_matches_row_sets(self, rows, d, data):
+        cells = data.draw(st.lists(st.integers(0, 5), min_size=rows * d, max_size=rows * d))
+        mat = np.array(cells, dtype=np.int32).reshape(rows, d)
+        expected = [len(set(row)) < d for row in mat.tolist()]
+        assert _duplicate_rows(mat).tolist() == expected
 
 
 @pytest.mark.parametrize(
