@@ -100,8 +100,8 @@ def _build_parser() -> _Parser:
 def _read_text(path: str) -> str:
     """UTF-8 text of a file or of stdin ("-"), whatever the locale.
 
-    Undecodable bytes survive as lone surrogates, so they fail parsing with
-    a line-numbered error (exit 65) on both paths.
+    Undecodable bytes survive as lone surrogates, which fail parsing with a
+    line-numbered error (exit 65).
     """
     if path == "-":
         data = sys.stdin.buffer.read()

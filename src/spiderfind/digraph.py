@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import io
 import math
+import re
+import sys
 from typing import Iterator
 
 import numpy as np
@@ -37,9 +39,8 @@ __all__ = [
 # Vertex ids are stored as int32.
 _MAX_VERTICES = 2**31
 
-# Longest token the canonical parse path reads; ids below 2^31 have at most
-# ten digits.
-_CANONICAL_DIGITS = 10
+# The ASCII bytes that str.split() splits at, but for the line end '\n'.
+_BLANKS = b" \t\v\f\x1c\x1d\x1e\x1f"
 
 # Rejection sampling is used while the expected per-row collision count stays
 # small; denser rows switch to a blocked Fisher-Yates shuffle over pools of
@@ -98,6 +99,18 @@ def _bincount(idx: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _first_failing_edge(n: int, src: np.ndarray, dst: np.ndarray) -> int:
+    """Index of the first edge out of [0, n), a loop or a repeat of an
+    earlier edge, else len(src).  A key u*n + v that overflows belongs to an
+    edge out of range, so a repeat it fakes comes after that edge."""
+    bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n) | (src == dst)
+    key = src.astype(np.int64) * n + dst
+    srt = np.sort(key)
+    at = np.flatnonzero(np.isin(key, srt[1:][srt[1:] == srt[:-1]]))
+    bad[np.setdiff1d(at, at[np.unique(key[at], return_index=True)[1]])] = True
+    return int(bad.argmax()) if bad.any() else src.shape[0]
+
+
 class Digraph:
     """Immutable directed graph stored as out-adjacency CSR."""
 
@@ -124,16 +137,9 @@ class Digraph:
         dst = np.asarray(dst)
         if src.ndim != 1 or src.shape != dst.shape:
             raise ValueError("src and dst must be 1-D arrays of equal length")
-        if src.size and (src.min() < 0 or src.max() >= n):
-            raise ValueError("source vertex out of range")
-        if dst.size and (dst.min() < 0 or dst.max() >= n):
-            raise ValueError("destination vertex out of range")
-        if np.any(src == dst):
-            bad = int(np.flatnonzero(src == dst)[0])
-            raise ValueError(f"self-loop at edge {bad}")
-        key = src.astype(np.int64) * n + dst
-        if _sorted_distinct(key).size != key.size:
-            raise ValueError("duplicate directed edge")
+        e = _first_failing_edge(n, src, dst)
+        if e < src.shape[0]:
+            raise ValueError(f"edge {e} is out of range, a loop or a repeat")
         order = np.argsort(src, kind="stable")
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(_bincount(src, n), out=indptr[1:])
@@ -241,103 +247,97 @@ def parse_edge_list(text: str) -> Digraph:
     lines are ignored.  Rejects self-loops and duplicate directed edges,
     reporting the offending physical line.
 
-    Canonical text, as `write_edge_list` emits it, is read as whole arrays;
-    any other text, and any invalid graph, goes through the line parser,
-    which alone reports errors.
+    np.fromstring reads the lines before any malformed one, and
+    `Digraph.from_edge_arrays` validates them; only a failing line is split.
     """
-    g = _parse_canonical(text)
-    return g if g is not None else _parse_lines(text)
-
-
-def _parse_canonical(text: str) -> Digraph | None:
-    """The graph of canonical edge-list text, or None for any other input.
-
-    Canonical text is ASCII lines "digits SP digits\n" with tokens of at
-    most ten digits, a valid header and exactly m edge lines, describing a
-    simple loopless graph.  None leaves every diagnostic to `_parse_lines`.
-    """
-    if not text.isascii():
-        return None
-    data = text.encode("ascii")
-    b = np.frombuffer(data, dtype=np.uint8)
-    if b.size == 0 or b[-1] != ord("\n"):
-        return None
-    sep = np.flatnonzero((b < ord("0")) | (b > ord("9")))
-    # Separators must alternate ' ', '\n' (the last byte is '\n', so their
-    # count is even) with 1 to 10 digits before each.
-    if not (
-        (b[sep[0::2]] == ord(" ")).all()
-        and (b[sep[1::2]] == ord("\n")).all()
-    ):
-        return None
-    width = np.diff(sep, prepend=-1)
-    if width.min() < 2 or width.max() > _CANONICAL_DIGITS + 1:
-        return None
-    del sep, width
-    vals = np.fromstring(data, dtype=np.int64, sep=" ")
-    n, m = int(vals[0]), int(vals[1])
-    if n > _MAX_VERTICES or vals.size != 2 + 2 * m:
-        return None
-    try:
-        return Digraph.from_edge_arrays(n, vals[2::2], vals[3::2])
-    except ValueError:
-        return None
-
-
-def _parse_lines(text: str) -> Digraph:
-    """Line-by-line parser for any edge-list text; the one error reporter."""
-    header = None
-    header_line = 0
-    src: list[int] = []
-    dst: list[int] = []
-    seen: set[int] = set()
-    n = m = 0
-    for lineno, parts in _content_lines(text):
-        if header is None:
-            if len(parts) != 2:
-                raise EdgeListError(lineno, "header must be 'n m'")
-            try:
-                n, m = _int_token(parts[0]), _int_token(parts[1])
-            except ValueError:
-                raise EdgeListError(lineno, "header must be two integers") from None
-            if n < 0 or m < 0:
-                raise EdgeListError(lineno, "header values must be non-negative")
-            if n > _MAX_VERTICES:
-                raise EdgeListError(
-                    lineno, f"vertex count {n} exceeds the int32 id range"
-                )
-            header = (n, m)
-            header_line = lineno
-            continue
-        if len(parts) != 2:
-            raise EdgeListError(lineno, "edge line must be 'u v'")
-        try:
-            u, v = _int_token(parts[0]), _int_token(parts[1])
-        except ValueError:
-            raise EdgeListError(lineno, "edge line must be two integers") from None
-        if len(src) >= m:
-            raise EdgeListError(lineno, f"more than {m} edges")
-        if not (0 <= u < n):
-            raise EdgeListError(lineno, f"vertex {u} out of range [0, {n})")
-        if not (0 <= v < n):
-            raise EdgeListError(lineno, f"vertex {v} out of range [0, {n})")
-        if u == v:
-            raise EdgeListError(lineno, f"self-loop at vertex {u}")
-        key = u * n + v
-        if key in seen:
-            raise EdgeListError(lineno, f"duplicate directed edge {u} -> {v}")
-        seen.add(key)
-        src.append(u)
-        dst.append(v)
-    if header is None:
+    buf = _lines(text)
+    k, end = _scan(buf)
+    if end < len(buf):
+        # One space between tokens and none at line ends; rescan on a change.
+        tidy = buf.translate(bytes.maketrans(_BLANKS, b" " * len(_BLANKS)))
+        while b"  " in tidy:
+            tidy = tidy.replace(b"  ", b" ")
+        tidy = tidy.replace(b" \n", b"\n").replace(b"\n ", b"\n").removeprefix(b" ")
+        if tidy is not buf:
+            buf, (k, end) = tidy, _scan(tidy)
+    top = len(buf) - len(buf.lstrip(b"\n"))
+    if top == len(buf):
         raise EdgeListError(1, "missing header")
-    if len(src) != m:
-        raise EdgeListError(
-            header_line, f"expected {m} edges, found {len(src)}"
-        )
-    return Digraph.from_edge_arrays(
-        n, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
-    )
+    n, m = _pair(top + 1, buf[top : buf.index(b"\n", top)], "header", "n m")
+    if n < 0 or m < 0:
+        raise EdgeListError(top + 1, "header values must be non-negative")
+    if n > _MAX_VERTICES:
+        raise EdgeListError(top + 1, f"vertex count {n} exceeds the int32 id range")
+    vals = np.fromstring(buf, dtype=np.int64, count=2 * k, sep=" ")
+    if end == len(buf) and k - 1 == m:
+        try:
+            return Digraph.from_edge_arrays(n, vals[2::2], vals[3::2])
+        except ValueError:
+            pass
+    e = _first_failing_edge(n, *vals[2 : 2 * min(k, m + 1)].reshape(-1, 2).T)
+    if e == k - 1 and end == len(buf):
+        raise EdgeListError(top + 1, f"expected {m} edges, found {e}")
+    del vals
+    # Edge e, or the malformed line after edge k - 2, is nonempty line e + 1.
+    ends = np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == 10)
+    i = int(np.flatnonzero(np.diff(ends, prepend=-1) > 1)[e + 1])
+    u, v = _pair(i + 1, buf[ends[i - 1] + 1 : ends[i]], "edge line", "u v")
+    checks = [(e >= m, f"more than {m} edges")]
+    checks += [(not 0 <= x < n, f"vertex {x} out of range [0, {n})") for x in (u, v)]
+    checks += [(u == v, f"self-loop at vertex {u}")]
+    checks += [(True, f"duplicate directed edge {u} -> {v}")]
+    raise EdgeListError(i + 1, next(msg for failed, msg in checks if failed))
+
+
+def _lines(text: str) -> bytes:
+    """`text` as ASCII bytes, each line ended by '\\n', each comment gone;
+    non-ASCII becomes ' ' where str.split() splits, else 'x'."""
+    def comment(c: re.Match) -> bytes:  # a '#' after blanks opens a comment
+        before = c.string[c.string.rfind(b"\n", 0, c.start()) + 1 : c.start()]
+        return c[0] if before.strip(_BLANKS) else b""
+
+    if not text.isascii():
+        text = re.sub(r"[^\x00-\x7f]", lambda c: " " if c[0].isspace() else "x", text)
+    buf = text.encode("ascii")
+    buf = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in buf else buf
+    return re.sub(rb"#[^\n]*", comment, buf if buf.endswith(b"\n") else buf + b"\n")
+
+
+def _scan(buf: bytes) -> tuple[int, int]:
+    """(k, end): each line before byte `end` is empty or two -?[0-9]+
+    tokens that int() reads, one space apart, and k are not empty; `end` is
+    len(buf) or the start of a line that is neither."""
+    b = np.frombuffer(buf, dtype=np.uint8)
+    sep = np.flatnonzero((b - np.uint8(48)) > 9)
+    if b"-" in buf:  # a sign opens a token and a digit follows; b[-1] is '\n'
+        at = np.flatnonzero(b == 45)
+        at = at[np.isin(b[at - 1], (32, 10)) & (b[at + 1] - np.uint8(48) <= 9)]
+        sep = np.setdiff1d(sep, at)
+    width = np.empty_like(sep)  # the length of the token before + 1
+    width[:1] = sep[:1] + 1
+    np.subtract(sep[1:], sep[:-1], out=width[1:])
+    tok, t = width > 1, b[sep]
+    # ' ' ends a token and '\n' a second, or '\n' alone ends an empty line.
+    pair = (t[:-1] == 32) & tok[:-1] & (t[1:] == 10) & tok[1:]
+    ok = np.greater(t == 10, tok)
+    ok[:-1] |= pair
+    ok[1:] |= pair
+    # int()'s digit cap, a sign aside; int() gives 0, no cap, as before 3.10.7.
+    if 0 < (digits := getattr(sys, "get_int_max_str_digits", int)()) < width.max() - 1:
+        ok &= width - 1 - (b[sep - width + 1] == 45) <= digits
+    end = len(buf) if ok.all() else buf.rfind(b"\n", 0, sep[np.argmin(ok)]) + 1
+    return int(np.count_nonzero(tok[: np.searchsorted(sep, end)])) // 2, end
+
+
+def _pair(lineno: int, line: bytes, what: str, form: str) -> tuple[int, int]:
+    """The two integers of line `lineno`, or its EdgeListError."""
+    parts = line.decode("ascii").split()
+    if len(parts) != 2:
+        raise EdgeListError(lineno, f"{what} must be '{form}'")
+    try:
+        return _int_token(parts[0]), _int_token(parts[1])
+    except ValueError:
+        raise EdgeListError(lineno, f"{what} must be two integers") from None
 
 
 def write_edge_list(g: Digraph) -> str:

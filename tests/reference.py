@@ -8,8 +8,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from spiderfind import Digraph, ViolationKind, ViolationReport, gen_complete_digraph
-from spiderfind.digraph import _FY_BLOCK_CELLS
+from spiderfind import (
+    Digraph,
+    EdgeListError,
+    ViolationKind,
+    ViolationReport,
+    gen_complete_digraph,
+)
+from spiderfind.digraph import (
+    _FY_BLOCK_CELLS,
+    _MAX_VERTICES,
+    _content_lines,
+    _int_token,
+)
 from spiderfind.edge_coloring import ExtensionGraph
 
 
@@ -265,3 +276,61 @@ def reference_gen_random_out_regular(n: int, d: int, seed: int) -> Digraph:
             mat[lo : lo + b] = pool[:, :d]
     mat += mat >= np.arange(n, dtype=np.int32)[:, None]
     return Digraph(n, np.arange(n + 1, dtype=np.int64) * d, mat.ravel())
+
+
+def reference_parse_edge_list(text: str) -> Digraph:
+    """parse_edge_list line by line: each content line's checks in turn,
+    stopping at the first that fails.
+    """
+    header = None
+    header_line = 0
+    src: list[int] = []
+    dst: list[int] = []
+    seen: set[int] = set()
+    n = m = 0
+    for lineno, parts in _content_lines(text):
+        if header is None:
+            if len(parts) != 2:
+                raise EdgeListError(lineno, "header must be 'n m'")
+            try:
+                n, m = _int_token(parts[0]), _int_token(parts[1])
+            except ValueError:
+                raise EdgeListError(lineno, "header must be two integers") from None
+            if n < 0 or m < 0:
+                raise EdgeListError(lineno, "header values must be non-negative")
+            if n > _MAX_VERTICES:
+                raise EdgeListError(
+                    lineno, f"vertex count {n} exceeds the int32 id range"
+                )
+            header = (n, m)
+            header_line = lineno
+            continue
+        if len(parts) != 2:
+            raise EdgeListError(lineno, "edge line must be 'u v'")
+        try:
+            u, v = _int_token(parts[0]), _int_token(parts[1])
+        except ValueError:
+            raise EdgeListError(lineno, "edge line must be two integers") from None
+        if len(src) >= m:
+            raise EdgeListError(lineno, f"more than {m} edges")
+        if not (0 <= u < n):
+            raise EdgeListError(lineno, f"vertex {u} out of range [0, {n})")
+        if not (0 <= v < n):
+            raise EdgeListError(lineno, f"vertex {v} out of range [0, {n})")
+        if u == v:
+            raise EdgeListError(lineno, f"self-loop at vertex {u}")
+        key = u * n + v
+        if key in seen:
+            raise EdgeListError(lineno, f"duplicate directed edge {u} -> {v}")
+        seen.add(key)
+        src.append(u)
+        dst.append(v)
+    if header is None:
+        raise EdgeListError(1, "missing header")
+    if len(src) != m:
+        raise EdgeListError(
+            header_line, f"expected {m} edges, found {len(src)}"
+        )
+    return Digraph.from_edge_arrays(
+        n, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    )

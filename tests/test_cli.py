@@ -21,6 +21,7 @@ from spiderfind import (
 )
 from spiderfind.cli import main
 from strategies import digraphs
+from test_digraph import repeated_last_edge
 from test_solver import (
     _empty_class,
     antiparallel_triangle_instance,
@@ -167,6 +168,17 @@ class TestSolve:
         assert code == 65
         assert out == ""
         assert err.startswith(f"parse error: {message}")
+
+    def test_repeated_last_edge_exits_65(self, capsys, monkeypatch, tmp_path):
+        text, message = repeated_last_edge(gen_random_out_regular(4000, 50, seed=1))
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        code, out, err = run(
+            capsys, monkeypatch, ["solve", "--ell", "25", "--input", str(path)]
+        )
+        assert code == 65
+        assert out == ""
+        assert err == f"parse error: {message}\n"
 
     def test_out_of_memory_exits_64(self, capsys, monkeypatch):
         # A header such as "2147483648 0" passes the n bound and then asks
